@@ -80,7 +80,3 @@ class Reader:
                 f"{len(self._data) - self._pos} unexpected trailing bytes"
             )
 
-
-def read_file(path, magic: str) -> Reader:
-    with open(path, "rb") as fh:
-        return Reader(fh.read(), magic)

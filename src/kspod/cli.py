@@ -10,7 +10,6 @@ configuration error.
 import argparse
 import copy
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -110,19 +109,6 @@ def _grid_times(cfg: dict):
     return grid, times
 
 
-def _n_workers() -> int:
-    raw = os.environ.get("KSPOD_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigError(f"KSPOD_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def _train_options(cfg: dict) -> TrainOptions:
     pod_cfg = cfg["pod"]
     krg = cfg["kriging"]
@@ -136,7 +122,6 @@ def _train_options(cfg: dict) -> TrainOptions:
         restarts=int(krg["restarts"]),
         coeff_theta_mode=krg["coeff_theta_mode"],
         weight_theta=krg["weight_theta"],
-        n_workers=_n_workers(),
     )
 
 

@@ -2,10 +2,10 @@
 
 Training decomposes every case into spatial modes and temporal coefficients,
 sign-aligns the mode libraries to the first case, fits one kriging model per
-(mode, time-step) coefficient, and configures shared-parameter indicator
-kriging over the design space. Prediction at an untried design blends the
-per-case modes (and mean fields) with normalized indicator weights and
-evaluates the coefficient models, then recombines.
+(mode, time-step) coefficient (held as stacked arrays), and configures
+shared-parameter indicator kriging over the design space. Prediction at an
+untried design blends the per-case modes (and mean fields) with normalized
+indicator weights and evaluates the coefficient models, then recombines.
 
 Design vectors are normalized to the unit cube before any kriging; the
 squared-exponential correlation is not scale-invariant.
@@ -13,18 +13,15 @@ squared-exponential correlation is not scale-invariant.
 
 import hashlib
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from ._binio import MAX_ELEMENTS, Reader, Writer
 from .design import Cluster, DesignRanges
 from .errors import (
     DegenerateWeightsError,
     DimensionOverflowError,
-    IllConditionedError,
     IncompatibleCasesError,
     NonFiniteDataError,
 )
@@ -33,13 +30,10 @@ from .kriging import (
     DEFAULT_NUGGET,
     CorrelationParams,
     FitOptions,
-    KrigingModel,
-    _build_model,
-    _optimize_theta,
-    _pivots_degenerate,
-    _sq_diffs,
-    fit,
+    IndicatorKriging,
+    fit_fixed,
     fit_indicator_theta,
+    fit_theta,
 )
 from .pod import PODBasis, align_modes, decompose, rank_for_energy, truncate
 from .snapshots import SnapshotSet
@@ -85,6 +79,8 @@ class TrainOptions:
     bounding box of the training designs. ``coeff_theta_mode`` is
     ``"per-model"`` (one length-scale search per mode and time-step) or
     ``"shared"`` (one search per mode, shared across time-steps).
+    ``nugget``, ``log_theta_bounds`` and ``restarts`` are checked as
+    ``FitOptions``.
     """
 
     energy_threshold: float = 0.99
@@ -98,7 +94,6 @@ class TrainOptions:
     restarts: int = 8
     coeff_theta_mode: str = "per-model"
     weight_theta: float = None
-    n_workers: int = 1
 
     def __post_init__(self):
         if self.num_modes is None and not 0.0 < self.energy_threshold <= 1.0:
@@ -113,19 +108,30 @@ class TrainOptions:
                 for c in self.cluster_filter
             )
             object.__setattr__(self, "cluster_filter", members)
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be at least 1")
+        self.fit_options  # raises ValueError on bad kriging options
+
+    @property
+    def fit_options(self) -> FitOptions:
+        return FitOptions(self.nugget, self.log_theta_bounds, self.restarts)
 
 
 @dataclass(frozen=True)
 class EmulatorModel:
-    """Trained emulator: aligned mode library plus coefficient/weight models."""
+    """Trained emulator: aligned mode library plus coefficient/weight models.
+
+    The coefficient GP of mode k at time-step q, on normalized inputs, has
+    length-scales ``coeff_theta[k, q]``, mean ``coeff_mu[k, q]``, variance
+    ``coeff_sigma2[k, q]`` and weights ``coeff_alpha[k, q] = R^-1 (y - mu)``.
+    """
 
     design: np.ndarray        # (n, d) physical design points
     ranges: DesignRanges
     rank: int
     mode_library: tuple       # n truncated, sign-aligned PODBasis
-    coeff_models: tuple       # [k][q] KrigingModel on normalized inputs
+    coeff_theta: np.ndarray   # (K, m, d)
+    coeff_mu: np.ndarray      # (K, m)
+    coeff_sigma2: np.ndarray  # (K, m)
+    coeff_alpha: np.ndarray   # (K, m, n)
     weight_params: CorrelationParams
     grid: np.ndarray          # (J, 2)
     times: np.ndarray         # (m,)
@@ -145,21 +151,10 @@ class EmulatorModel:
             np.stack([b.mean_field for b in self.mode_library], axis=0)
             if self.centering else None
         )
-        rmat = np.exp(
-            -_sq_diffs(unit) @ self.weight_params.theta
-        ) + self.weight_params.nugget * np.eye(unit.shape[0])
-        try:
-            cho = cho_factor(rmat, lower=True)
-        except LinAlgError as exc:
-            raise IllConditionedError(
-                "weight-model correlation matrix is singular (coincident "
-                "normalized designs?)"
-            ) from exc
         object.__setattr__(self, "_design_unit", unit)
         object.__setattr__(self, "_modes_stack", modes_stack)
         object.__setattr__(self, "_mean_stack", mean_stack)
-        object.__setattr__(self, "_weight_cho", cho)
-        object.__setattr__(self, "_weight_u", cho_solve(cho, np.ones(unit.shape[0])))
+        object.__setattr__(self, "_indicator", IndicatorKriging(unit, self.weight_params))
 
     @property
     def n_cases(self) -> int:
@@ -203,67 +198,33 @@ def _common_rank(bases, options: TrainOptions) -> int:
     return k
 
 
-def _fit_shared_coeff_theta(unit_design, coeff_block, options: TrainOptions):
-    """One anisotropic theta per mode, pooling all time-steps' likelihoods."""
-    diffs = _sq_diffs(unit_design)
-    n, m = coeff_block.shape
-    eye = np.eye(n)
-    ones = np.ones(n)
-
-    def objective(log_theta):
-        theta = np.exp(np.asarray(log_theta, dtype=float))
-        rmat = np.exp(-diffs @ theta) + options.nugget * eye
-        try:
-            cho = cho_factor(rmat, lower=True)
-        except LinAlgError:
-            return 1e300
-        if _pivots_degenerate(cho, options.nugget):
-            return 1e300
-        u = cho_solve(cho, ones)
-        mu = (u @ coeff_block) / (u @ ones)
-        resid = coeff_block - np.outer(ones, mu)
-        alpha = cho_solve(cho, resid)
-        sigma2 = np.maximum(np.einsum("nq,nq->q", resid, alpha) / n, 1e-300)
-        logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-        value = 0.5 * n * float(np.sum(np.log(sigma2))) + 0.5 * m * logdet
-        return value if np.isfinite(value) else 1e300
-
-    fit_opts = FitOptions(options.nugget, options.log_theta_bounds, options.restarts)
-    return _optimize_theta(objective, unit_design.shape[1], fit_opts)
-
-
-def _fit_coeff_models(unit_design, coeff_tensor, options: TrainOptions):
-    """Fit the K x m kriging models for coeff_tensor of shape (n, m, K)."""
+def _fit_coeff_theta(unit_design, coeff_tensor, options: TrainOptions) -> np.ndarray:
+    """Length-scales (K, m, d) of the coefficient GPs, coeff_tensor (n, m, K)."""
     _, m, k_rank = coeff_tensor.shape
-    fit_opts = FitOptions(options.nugget, options.log_theta_bounds, options.restarts)
-
+    fit_opts = options.fit_options
     if options.coeff_theta_mode == "shared":
-        models = []
-        for k in range(k_rank):
-            theta = _fit_shared_coeff_theta(unit_design, coeff_tensor[:, :, k], options)
-            params = CorrelationParams(theta, options.nugget)
-            models.append(tuple(
-                _build_model(unit_design, coeff_tensor[:, q, k], params)
-                for q in range(m)
-            ))
-        return tuple(models)
+        return np.stack([
+            np.tile(fit_theta(unit_design, coeff_tensor[:, :, k], fit_opts), (m, 1))
+            for k in range(k_rank)
+        ])
+    return np.array([
+        [fit_theta(unit_design, coeff_tensor[:, q, k], fit_opts) for q in range(m)]
+        for k in range(k_rank)
+    ])
 
-    jobs = [(k, q) for k in range(k_rank) for q in range(m)]
 
-    def run(job):
-        k, q = job
-        return fit(unit_design, coeff_tensor[:, q, k], fit_opts)
+def _coeff_arrays(unit_design, coeff_tensor, theta, nugget, mu=None):
+    """mu (K, m), sigma2 (K, m) and alpha (K, m, n) of the coefficient GPs.
 
-    if options.n_workers > 1:
-        with ThreadPoolExecutor(max_workers=options.n_workers) as pool:
-            fitted = list(pool.map(run, jobs))
-    else:
-        fitted = [run(job) for job in jobs]
-
-    models = [[None] * m for _ in range(k_rank)]
-    for (k, q), model in zip(jobs, fitted):
-        models[k][q] = model
-    return tuple(tuple(row) for row in models)
+    One stacked solve per mode bounds the transient memory; a given mu (a
+    loaded model) is kept, so alpha is rebuilt exactly as trained.
+    """
+    parts = [
+        fit_fixed(unit_design, theta[k], coeff_tensor[:, :, k].T, nugget,
+                  None if mu is None else mu[k])
+        for k in range(theta.shape[0])
+    ]
+    return tuple(np.stack(arrs) for arrs in zip(*parts))
 
 
 def train(cases, options: TrainOptions = None) -> EmulatorModel:
@@ -309,13 +270,7 @@ def train(cases, options: TrainOptions = None) -> EmulatorModel:
     if np.unique(design, axis=0).shape[0] != design.shape[0]:
         raise ValueError("training designs must be distinct")
 
-    if options.n_workers > 1:
-        with ThreadPoolExecutor(max_workers=options.n_workers) as pool:
-            bases = list(pool.map(
-                lambda c: decompose(c, centering=options.centering), cases
-            ))
-    else:
-        bases = [decompose(c, centering=options.centering) for c in cases]
+    bases = [decompose(c, centering=options.centering) for c in cases]
     return _assemble(design, bases, ref, options)
 
 
@@ -331,7 +286,8 @@ def _assemble(design, bases, ref_case: SnapshotSet,
     unit = ranges.normalize(design)
 
     coeff_tensor = np.stack([b.coeffs for b in aligned], axis=0)  # (n, m, K)
-    coeff_models = _fit_coeff_models(unit, coeff_tensor, options)
+    theta = _fit_coeff_theta(unit, coeff_tensor, options)
+    mu, sigma2, alpha = _coeff_arrays(unit, coeff_tensor, theta, options.nugget)
 
     theta_w = options.weight_theta
     if theta_w is None:
@@ -357,7 +313,10 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         ranges=ranges,
         rank=k_rank,
         mode_library=tuple(aligned),
-        coeff_models=coeff_models,
+        coeff_theta=theta,
+        coeff_mu=mu,
+        coeff_sigma2=sigma2,
+        coeff_alpha=alpha,
         weight_params=weight_params,
         grid=ref_case.grid,
         times=ref_case.times,
@@ -387,10 +346,7 @@ def _normalize_raw(raw: np.ndarray, x_new) -> np.ndarray:
 
 def weight_vector(model: EmulatorModel, x_new) -> WeightVector:
     """Indicator-kriging blending weights of the training cases at x_new."""
-    xu = _normalize_query(model, x_new)
-    r = np.exp(-((model._design_unit - xu) ** 2) @ model.weight_params.theta)
-    u = model._weight_u
-    raw = (u / u.sum()) * (1.0 - r @ u) + cho_solve(model._weight_cho, r)
+    raw = model._indicator.weights(_normalize_query(model, x_new))
     return WeightVector(raw, _normalize_raw(raw, x_new))
 
 
@@ -413,16 +369,11 @@ def predict_modes(model: EmulatorModel, x_new) -> np.ndarray:
 def predict_coefficients(model: EmulatorModel, x_new,
                          time_indices=None) -> np.ndarray:
     """Coefficient predictions (K, len(indices)) from the per-(k, q) models."""
-    xu = _normalize_query(model, x_new)
+    sq = (model._design_unit - _normalize_query(model, x_new)) ** 2
     idx = _resolve_indices(model, time_indices)
-    out = np.empty((model.rank, idx.size))
-    for k in range(model.rank):
-        row = model.coeff_models[k]
-        for col, q in enumerate(idx):
-            mod = row[q]
-            r = np.exp(-((mod.inputs - xu) ** 2) @ mod.params.theta)
-            out[k, col] = mod.mu_hat + r @ mod.alpha
-    return out
+    r = np.exp(-(model.coeff_theta[:, idx] @ sq.T))
+    return model.coeff_mu[:, idx] + np.einsum(
+        "kqn,kqn->kq", r, model.coeff_alpha[:, idx])
 
 
 def _resolve_indices(model: EmulatorModel, time_indices) -> np.ndarray:
@@ -503,18 +454,9 @@ def save_model(model: EmulatorModel, path) -> None:
         w.f64(basis.coeffs, order="F")
         if model.centering:
             w.f64(basis.mean_field)
-    theta = np.empty((k_rank, m, d))
-    mu = np.empty((k_rank, m))
-    sigma2 = np.empty((k_rank, m))
-    for k in range(k_rank):
-        for q in range(m):
-            mod = model.coeff_models[k][q]
-            theta[k, q] = mod.params.theta
-            mu[k, q] = mod.mu_hat
-            sigma2[k, q] = mod.sigma2_hat
-    w.f64(theta)
-    w.f64(mu)
-    w.f64(sigma2)
+    w.f64(model.coeff_theta)
+    w.f64(model.coeff_mu)
+    w.f64(model.coeff_sigma2)
     w.dump(path)
 
 
@@ -546,22 +488,20 @@ def load_model(path) -> EmulatorModel:
     mu = r.f64(k_rank * m, shape=(k_rank, m))
     sigma2 = r.f64(k_rank * m, shape=(k_rank, m))
     r.finish()
+    del r  # release the file bytes before the stacked solves below
 
     for arr in (grid, times, design, theta, mu, sigma2):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteDataError(f"{path}: payload contains non-finite values")
+    if np.any(theta <= 0.0) or not 0.0 <= nugget < np.inf:
+        raise ValueError(
+            f"{path}: coefficient length-scales must be positive and the "
+            "nugget finite and nonnegative"
+        )
 
-    unit = ranges.normalize(design)
-    coeff_models = []
-    for k in range(k_rank):
-        row = []
-        for q in range(m):
-            obs = np.array([library[i].coeffs[q, k] for i in range(n)])
-            params = CorrelationParams(theta[k, q], float(nugget))
-            row.append(KrigingModel(
-                unit, obs, params, float(mu[k, q]), float(sigma2[k, q])
-            ))
-        coeff_models.append(tuple(row))
+    coeff_tensor = np.stack([b.coeffs for b in library], axis=0)
+    _, _, alpha = _coeff_arrays(ranges.normalize(design), coeff_tensor,
+                                theta, nugget, mu)
 
     record = {
         "energy_threshold": None if np.isnan(thr) else float(thr),
@@ -578,7 +518,10 @@ def load_model(path) -> EmulatorModel:
         ranges=ranges,
         rank=int(k_rank),
         mode_library=tuple(library),
-        coeff_models=tuple(coeff_models),
+        coeff_theta=theta,
+        coeff_mu=mu,
+        coeff_sigma2=sigma2,
+        coeff_alpha=alpha,
         weight_params=CorrelationParams.isotropic(
             float(weight_theta), int(d), float(nugget)
         ),

@@ -2,12 +2,15 @@
 
 Length-scale parameters are tuned by maximizing the profile log-likelihood
 (process mean and variance eliminated analytically), using a multi-start
-coordinate search in log space followed by local refinement. Prediction is
-the closed-form conditional mean. Indicator-vector kriging with one shared
-isotropic parameter provides per-case blending weights whose raw values sum
-to one identically.
+coordinate search in log space followed by local refinement. One objective
+serves a single dataset and a block of datasets sharing one length-scale
+vector. Prediction is the closed-form conditional mean; the closed-form fit
+at fixed length-scales is batched, so many models on the same inputs are
+held as arrays. Indicator-vector kriging with one shared isotropic parameter
+provides per-case blending weights whose raw values sum to one identically.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
@@ -21,10 +24,13 @@ from .errors import DimensionOverflowError, FitError, IllConditionedError, NonFi
 __all__ = [
     "CorrelationParams",
     "FitOptions",
+    "IndicatorKriging",
     "KrigingModel",
     "correlation",
     "fit",
+    "fit_fixed",
     "fit_indicator_theta",
+    "fit_theta",
     "indicator_weights",
     "predict",
     "read_model",
@@ -77,6 +83,15 @@ class FitOptions:
     log_theta_bounds: tuple = DEFAULT_LOG_THETA_BOUNDS
     restarts: int = 8
 
+    def __post_init__(self):
+        if not (np.isfinite(self.nugget) and self.nugget >= 0.0):
+            raise ValueError("nugget must be finite and nonnegative")
+        lo, hi = self.log_theta_bounds
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError("log_theta_bounds must be finite with lower < upper")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
+
 
 @dataclass(frozen=True)
 class KrigingModel:
@@ -98,9 +113,8 @@ class KrigingModel:
             raise ValueError("theta dimension must match input columns")
         alpha = self.alpha
         if alpha is None:
-            rmat = _corr_matrix(inputs, self.params.theta, self.params.nugget)
-            cho = _factorize(rmat)
-            alpha = cho_solve(cho, obs - self.mu_hat)
+            alpha = fit_fixed(inputs, self.params.theta, obs,
+                              self.params.nugget, mu=self.mu_hat)[2]
         else:
             alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
         for arr in (inputs, obs, alpha):
@@ -133,9 +147,10 @@ def _sq_diffs(x_pts: np.ndarray) -> np.ndarray:
 
 
 def _corr_matrix(x_pts: np.ndarray, theta: np.ndarray, nugget: float) -> np.ndarray:
-    rmat = np.exp(-_sq_diffs(x_pts) @ theta)
-    if nugget:
-        rmat = rmat + nugget * np.eye(x_pts.shape[0])
+    """Correlation matrices (..., n, n), one per length-scale row of theta (..., d)."""
+    n = x_pts.shape[0]
+    rmat = np.exp(-(_sq_diffs(x_pts) @ theta[..., None, :, None])[..., 0])
+    rmat[..., range(n), range(n)] += nugget
     return rmat
 
 
@@ -168,38 +183,37 @@ def _pivots_degenerate(cho, nugget: float) -> bool:
     return smallest * smallest <= 10.0 * nugget
 
 
-class _ProfileLikelihood:
-    """Negative profile log-likelihood of log-theta for one dataset.
+def _profile_nll(diffs, y, nugget, log_theta) -> float:
+    """Negative profile log-likelihood of log-theta for one observation block.
 
-    The mean is profiled via generalized least squares and the variance via
-    its closed form, leaving -n/2 log(sigma2) - 1/2 log det R to maximize.
+    ``diffs`` holds the (n, n, d) squared input differences; ``y`` is one
+    dataset (n,) or q datasets (n, q) sharing the correlation matrix R. Each
+    dataset's mean is profiled by generalized least squares and its variance
+    in closed form, leaving the sum over datasets of
+    n/2 log(sigma2) + 1/2 log det R.
     """
-
-    def __init__(self, x_pts, y, nugget):
-        self.diffs = _sq_diffs(x_pts)
-        self.y = y
-        self.nugget = nugget
-        self.n = x_pts.shape[0]
-        self.eye = np.eye(self.n)
-
-    def __call__(self, log_theta) -> float:
-        try:
-            theta = np.exp(np.asarray(log_theta, dtype=float))
-            rmat = np.exp(-self.diffs @ theta) + self.nugget * self.eye
-            cho = cho_factor(rmat, lower=True)
-        except LinAlgError:
-            return _HUGE
-        if _pivots_degenerate(cho, self.nugget):
-            return _HUGE
-        ones = np.ones(self.n)
-        u = cho_solve(cho, ones)
-        mu = float(u @ self.y) / float(u @ ones)
-        resid = self.y - mu
-        alpha = cho_solve(cho, resid)
-        sigma2 = max(float(resid @ alpha) / self.n, 1e-300)
-        logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-        value = 0.5 * self.n * np.log(sigma2) + 0.5 * logdet
-        return value if np.isfinite(value) else _HUGE
+    n = diffs.shape[0]
+    rmat = np.exp(-(diffs @ np.exp(log_theta)))
+    rmat.flat[::n + 1] += nugget
+    # R is finite by construction and y by the callers' checks, so SciPy's
+    # finiteness scans are skipped
+    try:
+        cho = cho_factor(rmat, lower=True, check_finite=False)
+    except LinAlgError:
+        return _HUGE
+    if _pivots_degenerate(cho, nugget):
+        return _HUGE
+    ones = np.ones(n)
+    u = cho_solve(cho, ones, check_finite=False)
+    mu = (u @ y) / (u @ ones)
+    resid = y - mu
+    alpha = cho_solve(cho, resid, check_finite=False)
+    # resid' R^-1 resid per dataset, each as one dot product
+    quad = resid.T[..., None, :] @ alpha.T[..., :, None]
+    sigma2 = np.maximum(quad / n, 1e-300)
+    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
+    value = 0.5 * n * np.sum(np.log(sigma2)) + 0.5 * sigma2.size * logdet
+    return value if np.isfinite(value) else _HUGE
 
 
 def _coordinate_search(func, x0, lo, hi, step0=1.5, min_step=0.05):
@@ -226,8 +240,6 @@ def _coordinate_search(func, x0, lo, hi, step0=1.5, min_step=0.05):
 
 def _starts(dims: int, count: int, lo: float, hi: float) -> np.ndarray:
     """Center of the box plus fixed quasi-random starts."""
-    if count < 1:
-        raise ValueError("at least one start is required")
     pts = [np.full(dims, 0.5 * (lo + hi))]
     table = _START_TABLE
     for i in range(count - 1):
@@ -237,20 +249,38 @@ def _starts(dims: int, count: int, lo: float, hi: float) -> np.ndarray:
     return np.asarray(pts)
 
 
-def _optimize_theta(objective, dims, options: FitOptions):
+def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
+    """Length-scales maximizing the profile likelihood of y at inputs x_pts.
+
+    ``y`` is one dataset (n,) or a block (n, q) of datasets sharing one
+    theta. Constant data skip the search (every theta predicts the
+    constant) and keep theta = 1. Exact duplicate rows with a zero nugget
+    raise IllConditionedError.
+    """
+    options = options or FitOptions()
+    x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
+    y = np.asarray(y, dtype=float)
+    n, d = x_pts.shape
+    spread = np.ptp(y, axis=0)
+    if n == 1 or np.all(spread <= 1e-14 * max(1.0, float(np.max(np.abs(y))))):
+        return np.ones(d)
+    objective = functools.partial(_profile_nll, _sq_diffs(x_pts), y, options.nugget)
     lo, hi = options.log_theta_bounds
     best_x, best_f = None, np.inf
-    for x0 in _starts(dims, options.restarts, lo, hi):
+    for x0 in _starts(d, options.restarts, lo, hi):
         x, fx = _coordinate_search(objective, x0, lo, hi)
         if fx < best_f:
             best_x, best_f = x, fx
     result = optimize.minimize(
         objective, best_x, method="L-BFGS-B",
-        bounds=[(lo, hi)] * dims, options={"maxiter": 60},
+        bounds=[(lo, hi)] * d, options={"maxiter": 60},
     )
     if np.isfinite(result.fun) and result.fun < best_f:
         best_x, best_f = result.x, result.fun
     if best_f >= _HUGE:
+        # a singular correlation matrix (duplicate rows, no nugget) makes
+        # the likelihood undefined everywhere; report it as such
+        _factorize(_corr_matrix(x_pts, np.ones(d), options.nugget))
         raise FitError(
             "likelihood not finite anywhere in the search box",
             best_theta=np.exp(best_x),
@@ -268,39 +298,37 @@ def fit(x_pts, y, options: FitOptions = None) -> KrigingModel:
     options = options or FitOptions()
     x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    n, d = x_pts.shape
-    if y.shape != (n,):
+    if y.shape != (x_pts.shape[0],):
         raise ValueError("observation count must match input rows")
     if not np.all(np.isfinite(x_pts)) or not np.all(np.isfinite(y)):
         raise ValueError("inputs and observations must be finite")
-
-    spread = float(np.ptp(y))
-    if n == 1 or spread <= 1e-14 * max(1.0, float(np.max(np.abs(y)))):
-        theta = np.ones(d)
-    else:
-        objective = _ProfileLikelihood(x_pts, y, options.nugget)
-        try:
-            theta = _optimize_theta(objective, d, options)
-        except FitError:
-            # a singular correlation matrix (duplicate rows, no nugget)
-            # makes the likelihood undefined everywhere; report it as such
-            _factorize(_corr_matrix(x_pts, np.ones(d), options.nugget))
-            raise
-
-    params = CorrelationParams(theta, options.nugget)
+    params = CorrelationParams(fit_theta(x_pts, y, options), options.nugget)
     return _build_model(x_pts, y, params)
 
 
+def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
+    """Closed-form ordinary-kriging fit at fixed length-scales.
+
+    ``theta`` (..., d) and ``y`` (..., n) stack datasets on the shared input
+    rows ``x_pts`` (n, d), one per leading index, factorized in one stacked
+    call. Returns the generalized-least-squares mean mu (...), the variance
+    estimate sigma2 (...) and alpha = R^-1 (y - mu) (..., n). A given ``mu``
+    (one read back from a file) is used as is, so alpha is rebuilt exactly.
+    """
+    n = x_pts.shape[0]
+    cho = (_factorize(_corr_matrix(x_pts, theta, nugget))[0], True)
+    if mu is None:
+        u = cho_solve(cho, np.broadcast_to(np.ones(n), y.shape)[..., None])[..., 0]
+        mu = np.einsum("...i,...i->...", u, y) / u.sum(axis=-1)
+    resid = y - np.asarray(mu)[..., None]
+    alpha = cho_solve(cho, resid[..., None])[..., 0]
+    sigma2 = np.maximum(np.einsum("...i,...i->...", resid, alpha) / n, 0.0)
+    return mu, sigma2, alpha
+
+
 def _build_model(x_pts, y, params: CorrelationParams) -> KrigingModel:
-    rmat = _corr_matrix(x_pts, params.theta, params.nugget)
-    cho = _factorize(rmat)
-    ones = np.ones(x_pts.shape[0])
-    u = cho_solve(cho, ones)
-    mu = float(u @ y) / float(u @ ones)
-    resid = y - mu
-    alpha = cho_solve(cho, resid)
-    sigma2 = float(resid @ alpha) / x_pts.shape[0]
-    return KrigingModel(x_pts, y, params, mu, max(sigma2, 0.0), alpha)
+    mu, sigma2, alpha = fit_fixed(x_pts, params.theta, y, params.nugget)
+    return KrigingModel(x_pts, y, params, float(mu), float(sigma2), alpha)
 
 
 def predict(model: KrigingModel, x_new) -> float:
@@ -321,6 +349,27 @@ def predict(model: KrigingModel, x_new) -> float:
     raise ValueError("query must be a (d,) vector or (q, d) array")
 
 
+class IndicatorKriging:
+    """Indicator kriging on fixed inputs under one shared correlation
+    parameter, factorized once for repeated weight queries."""
+
+    def __init__(self, x_pts, params: CorrelationParams):
+        self.x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
+        self.theta = params.theta
+        self._cho = _factorize(_corr_matrix(self.x_pts, params.theta, params.nugget))
+        self._u = cho_solve(self._cho, np.ones(self.x_pts.shape[0]))
+
+    def weights(self, x_new) -> np.ndarray:
+        """Raw weights of the n inputs at x_new (see indicator_weights)."""
+        x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
+        if x_new.size != self.x_pts.shape[1]:
+            raise ValueError("query dimension does not match the inputs")
+        r = _corr_vector(self.x_pts, x_new, self.theta)
+        u = self._u
+        # w_i = mu_i (1 - r'u) + (R^-1 r)_i  with  mu_i = u_i / sum(u)
+        return (u / u.sum()) * (1.0 - r @ u) + cho_solve(self._cho, r)
+
+
 def indicator_weights(x_pts, params: CorrelationParams, x_new) -> np.ndarray:
     """Kriging weights from the n unit-vector targets under one shared theta.
 
@@ -329,49 +378,26 @@ def indicator_weights(x_pts, params: CorrelationParams, x_new) -> np.ndarray:
     from one linear predictor, so the raw weights sum to one identically
     (and individual weights may be negative).
     """
-    x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
-    x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
-    if x_new.size != x_pts.shape[1]:
-        raise ValueError("query dimension does not match the inputs")
-    rmat = _corr_matrix(x_pts, params.theta, params.nugget)
-    cho = _factorize(rmat)
-    ones = np.ones(x_pts.shape[0])
-    u = cho_solve(cho, ones)
-    r = _corr_vector(x_pts, x_new, params.theta)
-    # w_i = mu_i (1 - r'u) + (R^-1 r)_i  with  mu_i = u_i / sum(u)
-    return (u / u.sum()) * (1.0 - r @ u) + cho_solve(cho, r)
+    return IndicatorKriging(x_pts, params).weights(x_new)
 
 
 def fit_indicator_theta(x_pts, nugget: float = DEFAULT_NUGGET,
                         log_theta_bounds: tuple = DEFAULT_LOG_THETA_BOUNDS) -> float:
     """Shared isotropic theta for indicator kriging, by maximum likelihood.
 
-    Maximizes the sum of the n indicator datasets' profile log-likelihoods,
-    an objective symmetric under relabeling of the cases, over a single
-    isotropic parameter.
+    Maximizes the sum of the n indicator datasets' profile log-likelihoods
+    (the identity block as observations), an objective symmetric under
+    relabeling of the cases, over a single isotropic parameter.
     """
     x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
     n = x_pts.shape[0]
     if n == 1:
         return 1.0
-    diffs = _sq_diffs(x_pts).sum(axis=2)
+    diffs = _sq_diffs(x_pts).sum(axis=2, keepdims=True)
     eye = np.eye(n)
-    ones = np.ones(n)
 
     def objective(log_theta: float) -> float:
-        rmat = np.exp(-np.exp(log_theta) * diffs) + nugget * eye
-        try:
-            cho = cho_factor(rmat, lower=True)
-        except LinAlgError:
-            return _HUGE
-        if _pivots_degenerate(cho, nugget):
-            return _HUGE
-        rinv = cho_solve(cho, eye)
-        u = rinv @ ones
-        s2 = np.maximum(np.diag(rinv) - u ** 2 / u.sum(), 1e-300)
-        logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-        value = 0.5 * n * float(np.sum(np.log(s2))) + 0.5 * n * logdet
-        return value if np.isfinite(value) else _HUGE
+        return _profile_nll(diffs, eye, nugget, [log_theta])
 
     lo, hi = log_theta_bounds
     grid = np.linspace(lo, hi, 33)

@@ -158,8 +158,9 @@ def test_criterion_05_indicator_weight_identities():
     assert worst_sum <= 1e-8
 
     # negatives appear at moderate shared length scales; the MLE for
-    # indicator data sits at the large-theta (kernel-like, all-positive)
-    # end, so probe a fixed moderate theta for the no-clamping property
+    # indicator data sits at the large-theta end of the search box, where
+    # the weights are near uniform (effective cases 30.0 of 30 at e^6), so
+    # probe a fixed moderate theta for the no-clamping property
     moderate = CorrelationParams.isotropic(5.0, 3)
     negatives = 0
     for probe in rng.uniform(1.0, 1.3, size=(20, 3)):

@@ -201,20 +201,3 @@ class TestPipeline:
         path.write_text(json.dumps({"seeed": 1}), encoding="utf-8")
         assert cli.main(["pipeline", "--config", str(path)]) == 2
 
-
-class TestThreadsEnv:
-    def test_invalid_threads_rejected(self, tmp_path, monkeypatch, capsys):
-        cfg = small_config(tmp_path)
-        monkeypatch.setenv("KSPOD_THREADS", "zero")
-        assert cli.main(["train", "--config", str(cfg)]) == 2
-        assert "KSPOD_THREADS" in capsys.readouterr().err
-
-    def test_threads_accepted(self, tmp_path, monkeypatch):
-        cfg = small_config(tmp_path)
-        assert cli.main([
-            "design", "--dims", "2", "--slices", "2", "--per-slice", "3",
-            "--seed", "3", "--out", str(tmp_path / "design.csv"),
-        ]) == 0
-        assert cli.main(["synth", "--config", str(cfg)]) == 0
-        monkeypatch.setenv("KSPOD_THREADS", "2")
-        assert cli.main(["train", "--config", str(cfg)]) == 0

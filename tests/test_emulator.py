@@ -17,9 +17,10 @@ from kspod.emulator import (
     weight_vector,
 )
 from kspod.errors import DegenerateWeightsError, IncompatibleCasesError
-from kspod.kriging import CorrelationParams, indicator_weights
+from kspod.kriging import CorrelationParams, FitOptions, indicator_weights
 from kspod.pod import PODBasis, decompose, reconstruct, truncate
 from kspod.snapshots import SnapshotSet
+from test_kriging import dense_predict
 
 
 def analytic_case(amp1, amp2, design, case_id, m=16):
@@ -229,6 +230,26 @@ class TestPrediction:
         scale = np.abs(expected).max()
         assert np.abs(beta - expected).max() < 1e-5 * scale
 
+    def test_coefficients_match_dense_solve(self, small_model, desk_setup):
+        model = small_model
+        unit = model.ranges.normalize(model.design)
+        coeffs = np.stack([b.coeffs for b in model.mode_library])  # (n, m, K)
+        nugget = model.options_record["nugget"]
+        x_new = desk_setup["ranges"].scale(np.array([0.41, 0.63, 0.28]))
+        xu = model.ranges.normalize(x_new)
+        oracle = np.array([
+            [dense_predict(unit, coeffs[:, q, k], model.coeff_theta[k, q],
+                           nugget, xu) for q in range(model.num_snapshots)]
+            for k in range(model.rank)
+        ])
+        scale = np.abs(oracle).max()
+        full = predict_coefficients(model, x_new)
+        assert np.abs(full - oracle).max() < 1e-8 * scale
+        one = predict_coefficients(model, x_new, time_indices=[7])
+        assert np.abs(one - oracle[:, [7]]).max() < 1e-8 * scale
+        assert predict_coefficients(model, x_new, time_indices=[]).shape \
+            == (model.rank, 0)
+
     def test_constant_coefficients_predicted_exactly(self):
         # identical fluctuation fields shifted by per-case constants: after
         # centering every case carries the same coefficients
@@ -320,9 +341,8 @@ class TestOptions:
                                coeff_theta_mode="shared")
         model = train(small_cases, options)
         # one theta per mode, shared across time-steps
-        for row in model.coeff_models:
-            thetas = {tuple(m.params.theta) for m in row}
-            assert len(thetas) == 1
+        for row in model.coeff_theta:
+            assert np.array_equal(row, np.broadcast_to(row[0], row.shape))
         case = small_cases[2]
         basis = decompose(case)
         target = reconstruct(truncate(basis, num_modes=2))
@@ -336,15 +356,6 @@ class TestOptions:
         assert np.allclose(model.weight_params.theta, 5.0)
         assert model.options_record["weight_theta"] == 5.0
 
-    def test_workers_option(self, small_cases, desk_setup):
-        serial = train(small_cases, TrainOptions(
-            ranges=desk_setup["ranges"], num_modes=1))
-        threaded = train(small_cases, TrainOptions(
-            ranges=desk_setup["ranges"], num_modes=1, n_workers=3))
-        probe = desk_setup["ranges"].scale(np.array([0.4, 0.5, 0.6]))
-        assert np.array_equal(predict_field(serial, probe),
-                              predict_field(threaded, probe))
-
     def test_bad_options_rejected(self):
         with pytest.raises(ValueError):
             TrainOptions(energy_threshold=1.5)
@@ -352,8 +363,12 @@ class TestOptions:
             TrainOptions(num_modes=0)
         with pytest.raises(ValueError):
             TrainOptions(coeff_theta_mode="sideways")
-        with pytest.raises(ValueError):
-            TrainOptions(n_workers=0)
+        for bad in ({"restarts": 0}, {"nugget": -1e-3},
+                    {"log_theta_bounds": (3.0, -3.0)}):
+            with pytest.raises(ValueError):
+                TrainOptions(**bad)
+            with pytest.raises(ValueError):
+                FitOptions(**bad)
 
 
 class TestSerialization:
@@ -377,6 +392,21 @@ class TestSerialization:
         loaded = load_model(path)
         for key in ("energy_threshold", "nugget", "weight_theta", "centering"):
             assert loaded.options_record[key] == small_model.options_record[key]
+
+    def test_bad_length_scale_or_nugget_rejected(self, small_model, tmp_path):
+        path = tmp_path / "model.ksem"
+        save_model(small_model, path)
+        data = bytearray(path.read_bytes())
+        k_rank, m = small_model.coeff_mu.shape
+        theta_at = len(data) - 8 * k_rank * m * (small_model.dims + 2)
+        nugget_at = 6 + 9 * 8 + 8
+        for offset in (theta_at, nugget_at):
+            patched = bytearray(data)
+            patched[offset:offset + 8] = np.float64(-1e-3).tobytes()
+            bad = tmp_path / f"bad{offset}.ksem"
+            bad.write_bytes(bytes(patched))
+            with pytest.raises(ValueError):
+                load_model(bad)
 
     def test_corrupt_model_rejected(self, tmp_path):
         from kspod.errors import BadMagicError

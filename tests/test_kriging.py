@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from kspod.design import generate_slhd
 from kspod.errors import IllConditionedError
 from kspod.kriging import (
+    DEFAULT_LOG_THETA_BOUNDS,
+    DEFAULT_NUGGET,
     CorrelationParams,
     FitOptions,
     correlation,
@@ -12,6 +15,7 @@ from kspod.kriging import (
     predict,
     read_model,
     write_model,
+    _profile_nll,
 )
 
 
@@ -117,15 +121,34 @@ class TestFitAndPredict:
                 assert predict(model, probe) == pytest.approx(oracle, abs=1e-10)
 
     def test_optimizer_beats_random_probes(self):
-        from kspod.kriging import _ProfileLikelihood
         rng = np.random.default_rng(4)
         x_pts = rng.uniform(size=(12, 2))
         y = np.sin(3.0 * x_pts[:, 0]) + 0.5 * x_pts[:, 1] ** 2
         model = fit(x_pts, y)
-        objective = _ProfileLikelihood(x_pts, y, model.params.nugget)
+        diffs = (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
+
+        def objective(log_theta):
+            return _profile_nll(diffs, y, model.params.nugget, log_theta)
+
         fitted = objective(np.log(model.params.theta))
         probes = rng.uniform(-6.0, 6.0, size=(32, 2))
         assert all(objective(p) >= fitted - 1e-9 for p in probes)
+
+    def test_profile_nll_matches_dense_formula(self):
+        rng = np.random.default_rng(12)
+        x_pts = rng.uniform(size=(12, 3))
+        y = rng.normal(size=12)
+        diffs = (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
+        for log_theta in rng.uniform(-2.0, 2.0, size=(5, 3)):
+            rmat = np.exp(-diffs @ np.exp(log_theta)) + 1e-8 * np.eye(12)
+            ones = np.ones(12)
+            mu = (ones @ np.linalg.solve(rmat, y)) \
+                / (ones @ np.linalg.solve(rmat, ones))
+            sigma2 = (y - mu) @ np.linalg.solve(rmat, y - mu) / 12
+            expected = 6.0 * np.log(sigma2) + 0.5 * np.linalg.slogdet(rmat)[1]
+            assert _profile_nll(diffs, y, 1e-8, log_theta) == pytest.approx(
+                expected, rel=1e-12
+            )
 
     def test_duplicates_without_nugget(self):
         x_pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
@@ -201,6 +224,22 @@ class TestIndicatorWeights:
         x_pts = rng.uniform(size=(12, 3))
         theta = fit_indicator_theta(x_pts)
         assert np.isfinite(theta) and theta > 0.0
+
+    def test_indicator_theta_is_identity_block_argmin(self):
+        # the criterion-05 design; fit_indicator_theta must land on the
+        # minimum of the shared profile likelihood with Y = I
+        x_pts = generate_slhd(5, 6, 3, seed=0).points
+        n = x_pts.shape[0]
+        diffs = ((x_pts[:, None, :] - x_pts[None, :, :]) ** 2).sum(
+            axis=2, keepdims=True)
+        eye = np.eye(n)
+        grid = np.linspace(*DEFAULT_LOG_THETA_BOUNDS, 241)
+        values = [_profile_nll(diffs, eye, DEFAULT_NUGGET, [g]) for g in grid]
+        best = grid[int(np.argmin(values))]
+        fitted = np.log(fit_indicator_theta(x_pts))
+        assert abs(fitted - best) <= grid[1] - grid[0]
+        assert _profile_nll(diffs, eye, DEFAULT_NUGGET, [fitted]) \
+            <= min(values) + 1e-9
 
 
 class TestSerialization:
