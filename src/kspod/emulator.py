@@ -33,7 +33,7 @@ from .kriging import (
     IndicatorKriging,
     fit_fixed,
     fit_indicator_theta,
-    fit_theta,
+    fit_thetas,
 )
 from .pod import PODBasis, align_modes, decompose, rank_for_energy, truncate
 from .snapshots import SnapshotSet
@@ -203,14 +203,15 @@ def _fit_coeff_theta(unit_design, coeff_tensor, options: TrainOptions) -> np.nda
     _, m, k_rank = coeff_tensor.shape
     fit_opts = options.fit_options
     if options.coeff_theta_mode == "shared":
-        return np.stack([
-            np.tile(fit_theta(unit_design, coeff_tensor[:, :, k], fit_opts), (m, 1))
-            for k in range(k_rank)
-        ])
-    return np.array([
-        [fit_theta(unit_design, coeff_tensor[:, q, k], fit_opts) for q in range(m)]
-        for k in range(k_rank)
-    ])
+        theta = fit_thetas(unit_design, [coeff_tensor[:, :, k] for k in range(k_rank)],
+                           fit_opts)
+        return np.repeat(theta[:, None, :], m, axis=1)
+    theta = fit_thetas(
+        unit_design,
+        [coeff_tensor[:, q, k] for k in range(k_rank) for q in range(m)],
+        fit_opts,
+    )
+    return theta.reshape(k_rank, m, -1)
 
 
 def _coeff_arrays(unit_design, coeff_tensor, theta, nugget, mu=None):
@@ -331,6 +332,8 @@ def _normalize_query(model: EmulatorModel, x_new) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x_new, dtype=float))
     if x.shape != (model.dims,):
         raise ValueError(f"query must be a {model.dims}-vector")
+    if not np.isfinite(x).all():
+        raise ValueError("query design must be finite")
     return model.ranges.normalize(x)
 
 
@@ -477,20 +480,23 @@ def load_model(path) -> EmulatorModel:
     centering = bool(flags & 1)
 
     ranges = DesignRanges(lower, upper)
-    library = []
-    for _ in range(n):
-        lam = r.f64(k_rank)
-        modes = r.f64(j * k_rank, shape=(j, k_rank), order="F")
-        coeffs = r.f64(m * k_rank, shape=(m, k_rank), order="F")
-        mean = r.f64(j) if centering else None
-        library.append(PODBasis(modes, coeffs, lam, np.ones(j), mean))
+    # per case: eigenvalues (K), modes (J x K) and coefficients (m x K), both
+    # column-major, then the mean field (J) when centered
+    modes_at, coeffs_at, mean_at = k_rank, k_rank * (1 + j), k_rank * (1 + j + m)
+    cases = [r.f64(mean_at + (j if centering else 0)) for _ in range(n)]
+    library = [
+        PODBasis(case[modes_at:coeffs_at].reshape((j, k_rank), order="F"),
+                 case[coeffs_at:mean_at].reshape((m, k_rank), order="F"),
+                 case[:modes_at], np.ones(j), case[mean_at:] if centering else None)
+        for case in cases
+    ]
     theta = r.f64(k_rank * m * d, shape=(k_rank, m, d))
     mu = r.f64(k_rank * m, shape=(k_rank, m))
     sigma2 = r.f64(k_rank * m, shape=(k_rank, m))
     r.finish()
     del r  # release the file bytes before the stacked solves below
 
-    for arr in (grid, times, design, theta, mu, sigma2):
+    for arr in (grid, times, design, theta, mu, sigma2, *cases):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteDataError(f"{path}: payload contains non-finite values")
     if np.any(theta <= 0.0) or not 0.0 <= nugget < np.inf:

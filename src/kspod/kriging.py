@@ -4,19 +4,25 @@ Length-scale parameters are tuned by maximizing the profile log-likelihood
 (process mean and variance eliminated analytically), using a multi-start
 coordinate search in log space followed by local refinement. One objective
 serves a single dataset and a block of datasets sharing one length-scale
-vector. Prediction is the closed-form conditional mean; the closed-form fit
+vector. Many datasets on the same inputs are searched as one block: each
+start point is run for every dataset before the next, and the correlation
+factorizations, which depend on the length-scales alone, are shared through
+one bounded cache, so fits that revisit a length-scale vector reuse them.
+Prediction is the closed-form conditional mean; the closed-form fit
 at fixed length-scales is batched, so many models on the same inputs are
 held as arrays. Indicator-vector kriging with one shared isotropic parameter
 provides per-case blending weights whose raw values sum to one identically.
 """
 
-import functools
+import collections
+import logging
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy import optimize
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._binio import MAX_ELEMENTS, Reader, Writer
 from .errors import DimensionOverflowError, FitError, IllConditionedError, NonFiniteDataError
@@ -31,6 +37,7 @@ __all__ = [
     "fit_fixed",
     "fit_indicator_theta",
     "fit_theta",
+    "fit_thetas",
     "indicator_weights",
     "predict",
     "read_model",
@@ -47,6 +54,11 @@ DEFAULT_LOG_THETA_BOUNDS = (-6.0, 6.0)
 _START_TABLE = np.random.default_rng(20240311).uniform(size=(32, 16))
 
 _HUGE = 1e300
+
+# Memory budget of the correlation factors one block search keeps for reuse.
+_FACTOR_CACHE_BYTES = 4 << 20
+
+_log = logging.getLogger("kspod")
 
 
 @dataclass(frozen=True)
@@ -168,7 +180,7 @@ def _factorize(rmat: np.ndarray):
         ) from exc
 
 
-def _pivots_degenerate(cho, nugget: float) -> bool:
+def _pivots_degenerate(factor: np.ndarray, nugget: float) -> bool:
     """True when the smallest Cholesky pivot is dominated by the nugget.
 
     In that regime the correlation matrix is numerically singular and the
@@ -179,8 +191,45 @@ def _pivots_degenerate(cho, nugget: float) -> bool:
     """
     if nugget <= 0.0:
         return False
-    smallest = float(np.min(np.diag(cho[0])))
+    smallest = float(np.min(np.diag(factor)))
     return smallest * smallest <= 10.0 * nugget
+
+
+def _theta_part(diffs, nugget, log_theta):
+    """The length-scale-only part of the profile likelihood.
+
+    Returns the lower Cholesky factor of R(theta), u = R^-1 1, 1'u and
+    log det R, or None when R is not positive definite or its pivots are
+    dominated by the nugget. LAPACK is called directly: R is finite by
+    construction, so SciPy's wrappers would only add checks.
+    """
+    n = diffs.shape[0]
+    rmat = np.exp(-(diffs @ np.exp(log_theta)))
+    rmat.flat[::n + 1] += nugget
+    factor, info = dpotrf(rmat, lower=1, clean=0)
+    if info != 0 or _pivots_degenerate(factor, nugget):
+        return None
+    ones = np.ones(n)
+    u = dpotrs(factor, ones, lower=1)[0]
+    logdet = 2.0 * np.sum(np.log(np.diag(factor)))
+    return factor, u, u @ ones, logdet
+
+
+def _dataset_nll(part, y) -> float:
+    """The per-dataset part: profile the mean and variance of ``y`` given the
+    length-scale part ``part`` (see _theta_part; None scores as _HUGE)."""
+    if part is None:
+        return _HUGE
+    factor, u, one_u, logdet = part
+    n = factor.shape[0]
+    mu = (u @ y) / one_u
+    resid = y - mu
+    alpha = dpotrs(factor, resid, lower=1)[0]
+    # resid' R^-1 resid per dataset, each as one dot product
+    quad = resid.T[..., None, :] @ alpha.T[..., :, None]
+    sigma2 = np.maximum(quad / n, 1e-300)
+    value = 0.5 * n * np.sum(np.log(sigma2)) + 0.5 * sigma2.size * logdet
+    return value if np.isfinite(value) else _HUGE
 
 
 def _profile_nll(diffs, y, nugget, log_theta) -> float:
@@ -192,28 +241,66 @@ def _profile_nll(diffs, y, nugget, log_theta) -> float:
     in closed form, leaving the sum over datasets of
     n/2 log(sigma2) + 1/2 log det R.
     """
-    n = diffs.shape[0]
-    rmat = np.exp(-(diffs @ np.exp(log_theta)))
-    rmat.flat[::n + 1] += nugget
-    # R is finite by construction and y by the callers' checks, so SciPy's
-    # finiteness scans are skipped
-    try:
-        cho = cho_factor(rmat, lower=True, check_finite=False)
-    except LinAlgError:
-        return _HUGE
-    if _pivots_degenerate(cho, nugget):
-        return _HUGE
-    ones = np.ones(n)
-    u = cho_solve(cho, ones, check_finite=False)
-    mu = (u @ y) / (u @ ones)
-    resid = y - mu
-    alpha = cho_solve(cho, resid, check_finite=False)
-    # resid' R^-1 resid per dataset, each as one dot product
-    quad = resid.T[..., None, :] @ alpha.T[..., :, None]
-    sigma2 = np.maximum(quad / n, 1e-300)
-    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-    value = 0.5 * n * np.sum(np.log(sigma2)) + 0.5 * sigma2.size * logdet
-    return value if np.isfinite(value) else _HUGE
+    return _dataset_nll(_theta_part(diffs, nugget, log_theta), y)
+
+
+class _FactorCache:
+    """Length-scale parts of the profile likelihood on fixed inputs, reused
+    across fits: an LRU keyed by the exact log-theta bytes, so a cached part
+    is the one _theta_part would recompute.
+
+    The factors and u vectors live in one preallocated block of at most
+    _FACTOR_CACHE_BYTES. Kept as hundreds of separate small arrays instead,
+    they measurably slowed later model loads in the same process.
+    """
+
+    def __init__(self, diffs, nugget):
+        n = diffs.shape[0]
+        self._diffs = diffs
+        self._nugget = nugget
+        self._size = _FACTOR_CACHE_BYTES // (8 * n * (n + 1))
+        self._factors = np.empty((self._size, n, n))  # transposed lower factors
+        self._us = np.empty((self._size, n))
+        self._entries = collections.OrderedDict()  # key -> (slot, 1'u, log det) or None
+        self._free_slots = []
+        self._next_slot = 0
+        self.evaluations = 0
+        self.factorizations = 0
+        self.rejected = 0
+
+    def __call__(self, log_theta):
+        self.evaluations += 1
+        key = np.asarray(log_theta, dtype=float).tobytes()
+        try:
+            entry = self._entries[key]
+        except KeyError:
+            part = _theta_part(self._diffs, self._nugget, np.frombuffer(key))
+            self.factorizations += 1
+            self._keep(key, part)
+        else:
+            self._entries.move_to_end(key)
+            part = None if entry is None else (
+                self._factors[entry[0]].T, self._us[entry[0]], *entry[1:])
+        self.rejected += part is None
+        return part
+
+    def _keep(self, key, part):
+        if self._size == 0:
+            return
+        if len(self._entries) == self._size:
+            evicted = self._entries.popitem(last=False)[1]
+            if evicted is not None:
+                self._free_slots.append(evicted[0])
+        if part is None:
+            self._entries[key] = None
+            return
+        if self._free_slots:
+            slot = self._free_slots.pop()
+        else:
+            slot, self._next_slot = self._next_slot, self._next_slot + 1
+        self._factors[slot] = part[0].T
+        self._us[slot] = part[1]
+        self._entries[key] = (slot, part[2], part[3])
 
 
 def _coordinate_search(func, x0, lo, hi, step0=1.5, min_step=0.05):
@@ -253,39 +340,77 @@ def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
     """Length-scales maximizing the profile likelihood of y at inputs x_pts.
 
     ``y`` is one dataset (n,) or a block (n, q) of datasets sharing one
-    theta. Constant data skip the search (every theta predicts the
-    constant) and keep theta = 1. Exact duplicate rows with a zero nugget
-    raise IllConditionedError.
+    theta; this is the one-dataset case of fit_thetas.
+    """
+    return fit_thetas(x_pts, [y], options)[0]
+
+
+def _is_constant(y) -> bool:
+    spread = np.ptp(y, axis=0)
+    return bool(np.all(spread <= 1e-14 * max(1.0, float(np.max(np.abs(y))))))
+
+
+def fit_thetas(x_pts, ys, options: FitOptions = None) -> np.ndarray:
+    """Length-scales (len(ys), d) fitted to each dataset of ys at inputs x_pts.
+
+    Each entry of ``ys`` is one dataset (n,) or a block (n, q) of datasets
+    sharing one theta, and gets the theta fit_theta would give it alone:
+    the multistart coordinate search from every start point, then an
+    L-BFGS-B polish from the best. The searches run start by start across
+    all datasets, so the start lattice that every search walks stays in the
+    shared factor cache. Constant data skip the search (every theta
+    predicts the constant) and keep theta = 1. Exact duplicate rows with a
+    zero nugget raise IllConditionedError. A block with any dataset to
+    search logs one DEBUG record on the "kspod" logger: the evaluation,
+    factorization and rejection counts and how many fitted components sit
+    on the search bounds.
     """
     options = options or FitOptions()
     x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
-    y = np.asarray(y, dtype=float)
+    ys = [np.asarray(y, dtype=float) for y in ys]
     n, d = x_pts.shape
-    spread = np.ptp(y, axis=0)
-    if n == 1 or np.all(spread <= 1e-14 * max(1.0, float(np.max(np.abs(y))))):
-        return np.ones(d)
-    objective = functools.partial(_profile_nll, _sq_diffs(x_pts), y, options.nugget)
+    log_thetas = np.zeros((len(ys), d))
+    searched = [] if n == 1 else [i for i, y in enumerate(ys) if not _is_constant(y)]
+    if not searched:
+        return np.exp(log_thetas)
+    factors = _FactorCache(_sq_diffs(x_pts), options.nugget)
+
+    def objective(y):
+        return lambda log_theta: _dataset_nll(factors(log_theta), y)
+
     lo, hi = options.log_theta_bounds
-    best_x, best_f = None, np.inf
+    best = {i: (None, np.inf) for i in searched}
     for x0 in _starts(d, options.restarts, lo, hi):
-        x, fx = _coordinate_search(objective, x0, lo, hi)
-        if fx < best_f:
-            best_x, best_f = x, fx
-    result = optimize.minimize(
-        objective, best_x, method="L-BFGS-B",
-        bounds=[(lo, hi)] * d, options={"maxiter": 60},
-    )
-    if np.isfinite(result.fun) and result.fun < best_f:
-        best_x, best_f = result.x, result.fun
-    if best_f >= _HUGE:
-        # a singular correlation matrix (duplicate rows, no nugget) makes
-        # the likelihood undefined everywhere; report it as such
-        _factorize(_corr_matrix(x_pts, np.ones(d), options.nugget))
-        raise FitError(
-            "likelihood not finite anywhere in the search box",
-            best_theta=np.exp(best_x),
+        for i in searched:
+            x, fx = _coordinate_search(objective(ys[i]), x0, lo, hi)
+            if fx < best[i][1]:
+                best[i] = (x, fx)
+    for i in searched:
+        best_x, best_f = best[i]
+        result = optimize.minimize(
+            objective(ys[i]), best_x, method="L-BFGS-B",
+            bounds=[(lo, hi)] * d, options={"maxiter": 60},
         )
-    return np.exp(best_x)
+        if np.isfinite(result.fun) and result.fun < best_f:
+            best_x, best_f = result.x, result.fun
+        if best_f >= _HUGE:
+            # a singular correlation matrix (duplicate rows, no nugget) makes
+            # the likelihood undefined everywhere; report it as such
+            _factorize(_corr_matrix(x_pts, np.ones(d), options.nugget))
+            raise FitError(
+                "likelihood not finite anywhere in the search box",
+                best_theta=np.exp(best_x),
+            )
+        log_thetas[i] = best_x
+    fitted = log_thetas[searched]
+    _log.debug(
+        "fit_thetas: %d datasets, %d likelihood evaluations, %d factorizations, "
+        "%d evaluations rejected (R not positive definite or pivots dominated "
+        "by the nugget), %d of %d length-scales on the search bounds",
+        len(ys), factors.evaluations, factors.factorizations, factors.rejected,
+        int(np.sum((fitted <= lo) | (fitted >= hi))), fitted.size,
+    )
+    return np.exp(log_thetas)
 
 
 def fit(x_pts, y, options: FitOptions = None) -> KrigingModel:
@@ -366,8 +491,11 @@ class IndicatorKriging:
             raise ValueError("query dimension does not match the inputs")
         r = _corr_vector(self.x_pts, x_new, self.theta)
         u = self._u
-        # w_i = mu_i (1 - r'u) + (R^-1 r)_i  with  mu_i = u_i / sum(u)
-        return (u / u.sum()) * (1.0 - r @ u) + cho_solve(self._cho, r)
+        # w_i = mu_i (1 - r'u) + (R^-1 r)_i  with  mu_i = u_i / sum(u); the
+        # factor was finite when made and callers check x_new, so SciPy's
+        # finiteness scan is skipped
+        solve = cho_solve(self._cho, r, check_finite=False)
+        return (u / u.sum()) * (1.0 - r @ u) + solve
 
 
 def indicator_weights(x_pts, params: CorrelationParams, x_new) -> np.ndarray:
@@ -378,6 +506,8 @@ def indicator_weights(x_pts, params: CorrelationParams, x_new) -> np.ndarray:
     from one linear predictor, so the raw weights sum to one identically
     (and individual weights may be negative).
     """
+    if not np.all(np.isfinite(x_new)):
+        raise ValueError("query must be finite")
     return IndicatorKriging(x_pts, params).weights(x_new)
 
 

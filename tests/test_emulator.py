@@ -16,7 +16,11 @@ from kspod.emulator import (
     train,
     weight_vector,
 )
-from kspod.errors import DegenerateWeightsError, IncompatibleCasesError
+from kspod.errors import (
+    DegenerateWeightsError,
+    IncompatibleCasesError,
+    NonFiniteDataError,
+)
 from kspod.kriging import CorrelationParams, FitOptions, indicator_weights
 from kspod.pod import PODBasis, decompose, reconstruct, truncate
 from kspod.snapshots import SnapshotSet
@@ -136,6 +140,14 @@ class TestWeights:
             expected = np.zeros(small_model.n_cases)
             expected[i] = 1.0
             assert np.abs(w.normalized - expected).max() < 1e-6
+
+    def test_non_finite_design_rejected(self, small_model):
+        probe = small_model.design[0].copy()
+        probe[1] = np.nan
+        with pytest.raises(ValueError):
+            weight_vector(small_model, probe)
+        with pytest.raises(ValueError):
+            predict_field(small_model, probe)
 
     def test_degenerate_sum_raises(self):
         with pytest.raises(DegenerateWeightsError):
@@ -406,6 +418,23 @@ class TestSerialization:
             bad = tmp_path / f"bad{offset}.ksem"
             bad.write_bytes(bytes(patched))
             with pytest.raises(ValueError):
+                load_model(bad)
+
+    def test_non_finite_case_library_rejected(self, small_model, tmp_path):
+        path = tmp_path / "model.ksem"
+        save_model(small_model, path)
+        data = path.read_bytes()
+        n, d = small_model.design.shape
+        j, m, k_rank = small_model.num_points, small_model.num_snapshots, small_model.rank
+        # header, ranges, grid, times and design, then case 0's eigenvalues
+        first_mode_at = 6 + 9 * 8 + 5 * 8 + 8 * (2 * d + 2 * j + m + n * d + k_rank)
+        first_coeff_at = first_mode_at + 8 * j * k_rank
+        for offset in (first_mode_at, first_coeff_at):
+            patched = bytearray(data)
+            patched[offset:offset + 8] = np.float64(np.nan).tobytes()
+            bad = tmp_path / f"nan{offset}.ksem"
+            bad.write_bytes(bytes(patched))
+            with pytest.raises(NonFiniteDataError):
                 load_model(bad)
 
     def test_corrupt_model_rejected(self, tmp_path):

@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from kspod import kriging
 from kspod.design import generate_slhd
 from kspod.errors import IllConditionedError
 from kspod.kriging import (
@@ -11,6 +14,8 @@ from kspod.kriging import (
     correlation,
     fit,
     fit_indicator_theta,
+    fit_theta,
+    fit_thetas,
     indicator_weights,
     predict,
     read_model,
@@ -170,6 +175,74 @@ class TestFitAndPredict:
         assert model.mu_hat == pytest.approx(mu, abs=1e-10)
 
 
+class TestBlockSearch:
+    """fit_thetas shares factorizations across datasets; every dataset must
+    still get exactly the theta of its own search."""
+
+    @staticmethod
+    def block_inputs():
+        rng = np.random.default_rng(13)
+        x_pts = rng.uniform(size=(12, 3))
+        smooth = np.sin(3.0 * x_pts[:, 0]) + x_pts[:, 1] * x_pts[:, 2]
+        ys = [smooth, np.full(12, 2.5), rng.normal(size=12),
+              np.column_stack([smooth, np.cos(2.0 * x_pts[:, 2])]),
+              smooth ** 2]
+        return x_pts, ys
+
+    def test_matches_one_search_per_dataset(self):
+        # includes a constant dataset (theta = 1) and an (n, q) shared block
+        x_pts, ys = self.block_inputs()
+        block = fit_thetas(x_pts, ys)
+        assert block.shape == (len(ys), 3)
+        assert np.array_equal(block[1], np.ones(3))
+        assert np.array_equal(block, [fit_theta(x_pts, y) for y in ys])
+
+    @pytest.mark.parametrize("factors_kept", [0, 2])
+    def test_matches_without_reuse(self, monkeypatch, factors_kept):
+        # a budget of no factor recomputes every one; two factors of n = 12
+        # make nearly every revisit an evicted miss
+        x_pts, ys = self.block_inputs()
+        expected = fit_thetas(x_pts, ys)
+        monkeypatch.setattr(kriging, "_FACTOR_CACHE_BYTES", factors_kept * 8 * 12 * 13)
+        assert np.array_equal(fit_thetas(x_pts, ys), expected)
+
+    def test_cache_returns_recomputed_parts(self, monkeypatch):
+        # revisits under eviction, with refused thetas (-6: R near singular)
+        monkeypatch.setattr(kriging, "_FACTOR_CACHE_BYTES", 3 * 8 * 12 * 13)
+        x_pts, _ = self.block_inputs()
+        diffs = kriging._sq_diffs(x_pts)
+        rng = np.random.default_rng(14)
+        log_thetas = np.vstack([rng.uniform(-2.0, 2.0, size=(5, 3)),
+                                np.full((2, 3), -6.0)])
+        log_thetas[6, 0] = -5.0
+        cache = kriging._FactorCache(diffs, DEFAULT_NUGGET)
+        for i in rng.integers(0, len(log_thetas), size=300):
+            got = cache(log_thetas[i])
+            want = kriging._theta_part(diffs, DEFAULT_NUGGET, log_thetas[i])
+            assert (got is None) == (want is None)
+            assert want is None or all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert cache.rejected > 0
+        assert cache.evaluations == 300 > cache.factorizations
+
+    def test_duplicates_without_nugget(self):
+        x_pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
+        with pytest.raises(IllConditionedError):
+            fit_thetas(x_pts, [np.array([1.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0])],
+                       FitOptions(nugget=0.0, restarts=1))
+
+    def test_debug_record_shows_shared_factors(self, caplog):
+        x_pts, ys = self.block_inputs()
+        with caplog.at_level(logging.DEBUG, logger="kspod"):
+            fit_thetas(x_pts, ys)
+        records = [r for r in caplog.records if r.name == "kspod"]
+        assert len(records) == 1
+        datasets, evaluations, factorizations, rejected, on_bounds, fitted = \
+            records[0].args
+        assert (datasets, fitted) == (len(ys), 3 * (len(ys) - 1))
+        assert 0 < factorizations < evaluations
+        assert 0 <= rejected <= evaluations and 0 <= on_bounds <= fitted
+
+
 class TestIndicatorWeights:
     def test_unit_vectors_at_training_points(self):
         rng = np.random.default_rng(6)
@@ -204,6 +277,12 @@ class TestIndicatorWeights:
         params = CorrelationParams.isotropic(10.0, 1)
         w = indicator_weights(x_pts, params, np.array([1.35]))
         assert w.min() < 0.0
+
+    def test_non_finite_query_rejected(self):
+        x_pts = np.linspace(0.0, 1.0, 6)[:, None]
+        params = CorrelationParams.isotropic(10.0, 1)
+        with pytest.raises(ValueError):
+            indicator_weights(x_pts, params, np.array([np.nan]))
 
     def test_gaussian_kernel_limit(self):
         # Well-separated design, query close to one point: all other kernel
