@@ -112,8 +112,9 @@ def _grid_times(cfg: dict):
 def _train_options(cfg: dict) -> TrainOptions:
     pod_cfg = cfg["pod"]
     krg = cfg["kriging"]
+    threshold = pod_cfg["energy_threshold"]
     return TrainOptions(
-        energy_threshold=pod_cfg["energy_threshold"] or 0.99,
+        energy_threshold=0.99 if threshold is None else threshold,
         num_modes=pod_cfg["num_modes"],
         centering=bool(pod_cfg["centering"]),
         ranges=_ranges(cfg),

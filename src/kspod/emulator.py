@@ -214,20 +214,6 @@ def _fit_coeff_theta(unit_design, coeff_tensor, options: TrainOptions) -> np.nda
     return theta.reshape(k_rank, m, -1)
 
 
-def _coeff_arrays(unit_design, coeff_tensor, theta, nugget, mu=None):
-    """mu (K, m), sigma2 (K, m) and alpha (K, m, n) of the coefficient GPs.
-
-    One stacked solve per mode bounds the transient memory; a given mu (a
-    loaded model) is kept, so alpha is rebuilt exactly as trained.
-    """
-    parts = [
-        fit_fixed(unit_design, theta[k], coeff_tensor[:, :, k].T, nugget,
-                  None if mu is None else mu[k])
-        for k in range(theta.shape[0])
-    ]
-    return tuple(np.stack(arrs) for arrs in zip(*parts))
-
-
 def train(cases, options: TrainOptions = None) -> EmulatorModel:
     """Train the emulator from per-case snapshot sets.
 
@@ -288,7 +274,8 @@ def _assemble(design, bases, ref_case: SnapshotSet,
 
     coeff_tensor = np.stack([b.coeffs for b in aligned], axis=0)  # (n, m, K)
     theta = _fit_coeff_theta(unit, coeff_tensor, options)
-    mu, sigma2, alpha = _coeff_arrays(unit, coeff_tensor, theta, options.nugget)
+    mu, sigma2, alpha = fit_fixed(unit, theta, coeff_tensor.transpose(2, 1, 0),
+                                  options.nugget)
 
     theta_w = options.weight_theta
     if theta_w is None:
@@ -494,7 +481,7 @@ def load_model(path) -> EmulatorModel:
     mu = r.f64(k_rank * m, shape=(k_rank, m))
     sigma2 = r.f64(k_rank * m, shape=(k_rank, m))
     r.finish()
-    del r  # release the file bytes before the stacked solves below
+    del r  # release the file bytes before the solves below
 
     for arr in (grid, times, design, theta, mu, sigma2, *cases):
         if not np.all(np.isfinite(arr)):
@@ -506,8 +493,8 @@ def load_model(path) -> EmulatorModel:
         )
 
     coeff_tensor = np.stack([b.coeffs for b in library], axis=0)
-    _, _, alpha = _coeff_arrays(ranges.normalize(design), coeff_tensor,
-                                theta, nugget, mu)
+    _, _, alpha = fit_fixed(ranges.normalize(design), theta,
+                            coeff_tensor.transpose(2, 1, 0), nugget, mu)
 
     record = {
         "energy_threshold": None if np.isnan(thr) else float(thr),

@@ -8,10 +8,12 @@ vector. Many datasets on the same inputs are searched as one block: each
 start point is run for every dataset before the next, and the correlation
 factorizations, which depend on the length-scales alone, are shared through
 one bounded cache, so fits that revisit a length-scale vector reuse them.
-Prediction is the closed-form conditional mean; the closed-form fit
-at fixed length-scales is batched, so many models on the same inputs are
-held as arrays. Indicator-vector kriging with one shared isotropic parameter
-provides per-case blending weights whose raw values sum to one identically.
+Every correlation matrix is factorized by one LAPACK Cholesky helper, and
+the search and the closed-form fit at fixed length-scales, which keeps many
+models on the same inputs as arrays, share one least-squares step.
+Prediction is the closed-form conditional mean. Indicator-vector kriging
+with one shared isotropic parameter provides per-case blending weights
+whose raw values sum to one identically.
 """
 
 import collections
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy import optimize
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._binio import MAX_ELEMENTS, Reader, Writer
@@ -158,26 +159,58 @@ def _sq_diffs(x_pts: np.ndarray) -> np.ndarray:
     return (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
 
 
-def _corr_matrix(x_pts: np.ndarray, theta: np.ndarray, nugget: float) -> np.ndarray:
-    """Correlation matrices (..., n, n), one per length-scale row of theta (..., d)."""
-    n = x_pts.shape[0]
-    rmat = np.exp(-(_sq_diffs(x_pts) @ theta[..., None, :, None])[..., 0])
-    rmat[..., range(n), range(n)] += nugget
-    return rmat
-
-
 def _corr_vector(x_pts: np.ndarray, x_new: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.exp(-((x_pts - x_new) ** 2) @ theta)
 
 
-def _factorize(rmat: np.ndarray):
-    try:
-        return cho_factor(rmat, lower=True)
-    except LinAlgError as exc:
+def _checked(x_pts, ys=(), axis=0):
+    """Input rows (n, d) and datasets with n entries along ``axis``, all finite."""
+    x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    if any(y.ndim == 0 or y.shape[axis] != x_pts.shape[0] for y in ys):
+        raise ValueError("observation count must match input rows")
+    if not all(np.isfinite(a).all() for a in (x_pts, *ys)):
+        raise ValueError("inputs and observations must be finite")
+    return x_pts, ys
+
+
+def _cholesky(diffs, theta, nugget):
+    """Lower Cholesky factor of R(theta) + nugget I from the (n, n, d) squared
+    input differences, or None when it is not positive definite. LAPACK is
+    called directly: callers check their inputs, so R is finite."""
+    n = diffs.shape[0]
+    rmat = np.exp(-(diffs @ theta))
+    rmat.flat[::n + 1] += nugget
+    factor, info = dpotrf(rmat, lower=1, clean=0)
+    return factor if info == 0 else None
+
+
+def _cholesky_or_raise(diffs, theta, nugget):
+    factor = _cholesky(diffs, theta, nugget)
+    if factor is None:
         raise IllConditionedError(
             "correlation matrix is not positive definite; distinct inputs "
             "or a nugget are required"
-        ) from exc
+        )
+    return factor
+
+
+def _mean_weights(factor):
+    """u = R^-1 1 and 1'u from the lower Cholesky factor of R."""
+    ones = np.ones(factor.shape[0])
+    u = dpotrs(factor, ones, lower=1)[0]
+    return u, u @ ones
+
+
+def _gls(factor, y, weights=None, mu=None):
+    """Generalized least squares of y (n,) or (n, q) on the factor of R: the
+    mean mu = u'y / 1'u unless given (``weights`` = (u, 1'u) as from
+    _mean_weights), the residual y - mu and alpha = R^-1 (y - mu)."""
+    if mu is None:
+        u, one_u = _mean_weights(factor) if weights is None else weights
+        mu = (u @ y) / one_u
+    resid = y - mu
+    return mu, resid, dpotrs(factor, resid, lower=1)[0]
 
 
 def _pivots_degenerate(factor: np.ndarray, nugget: float) -> bool:
@@ -200,19 +233,13 @@ def _theta_part(diffs, nugget, log_theta):
 
     Returns the lower Cholesky factor of R(theta), u = R^-1 1, 1'u and
     log det R, or None when R is not positive definite or its pivots are
-    dominated by the nugget. LAPACK is called directly: R is finite by
-    construction, so SciPy's wrappers would only add checks.
+    dominated by the nugget.
     """
-    n = diffs.shape[0]
-    rmat = np.exp(-(diffs @ np.exp(log_theta)))
-    rmat.flat[::n + 1] += nugget
-    factor, info = dpotrf(rmat, lower=1, clean=0)
-    if info != 0 or _pivots_degenerate(factor, nugget):
+    factor = _cholesky(diffs, np.exp(log_theta), nugget)
+    if factor is None or _pivots_degenerate(factor, nugget):
         return None
-    ones = np.ones(n)
-    u = dpotrs(factor, ones, lower=1)[0]
     logdet = 2.0 * np.sum(np.log(np.diag(factor)))
-    return factor, u, u @ ones, logdet
+    return (factor, *_mean_weights(factor), logdet)
 
 
 def _dataset_nll(part, y) -> float:
@@ -222,9 +249,7 @@ def _dataset_nll(part, y) -> float:
         return _HUGE
     factor, u, one_u, logdet = part
     n = factor.shape[0]
-    mu = (u @ y) / one_u
-    resid = y - mu
-    alpha = dpotrs(factor, resid, lower=1)[0]
+    _, resid, alpha = _gls(factor, y, (u, one_u))
     # resid' R^-1 resid per dataset, each as one dot product
     quad = resid.T[..., None, :] @ alpha.T[..., :, None]
     sigma2 = np.maximum(quad / n, 1e-300)
@@ -363,17 +388,17 @@ def fit_thetas(x_pts, ys, options: FitOptions = None) -> np.ndarray:
     zero nugget raise IllConditionedError. A block with any dataset to
     search logs one DEBUG record on the "kspod" logger: the evaluation,
     factorization and rejection counts and how many fitted components sit
-    on the search bounds.
+    on the search bounds. Non-finite or mis-sized data raise ValueError.
     """
     options = options or FitOptions()
-    x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
-    ys = [np.asarray(y, dtype=float) for y in ys]
+    x_pts, ys = _checked(x_pts, ys)
     n, d = x_pts.shape
     log_thetas = np.zeros((len(ys), d))
     searched = [] if n == 1 else [i for i, y in enumerate(ys) if not _is_constant(y)]
     if not searched:
         return np.exp(log_thetas)
-    factors = _FactorCache(_sq_diffs(x_pts), options.nugget)
+    diffs = _sq_diffs(x_pts)
+    factors = _FactorCache(diffs, options.nugget)
 
     def objective(y):
         return lambda log_theta: _dataset_nll(factors(log_theta), y)
@@ -396,7 +421,7 @@ def fit_thetas(x_pts, ys, options: FitOptions = None) -> np.ndarray:
         if best_f >= _HUGE:
             # a singular correlation matrix (duplicate rows, no nugget) makes
             # the likelihood undefined everywhere; report it as such
-            _factorize(_corr_matrix(x_pts, np.ones(d), options.nugget))
+            _cholesky_or_raise(diffs, np.ones(d), options.nugget)
             raise FitError(
                 "likelihood not finite anywhere in the search box",
                 best_theta=np.exp(best_x),
@@ -425,8 +450,6 @@ def fit(x_pts, y, options: FitOptions = None) -> KrigingModel:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (x_pts.shape[0],):
         raise ValueError("observation count must match input rows")
-    if not np.all(np.isfinite(x_pts)) or not np.all(np.isfinite(y)):
-        raise ValueError("inputs and observations must be finite")
     params = CorrelationParams(fit_theta(x_pts, y, options), options.nugget)
     return _build_model(x_pts, y, params)
 
@@ -435,20 +458,23 @@ def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
     """Closed-form ordinary-kriging fit at fixed length-scales.
 
     ``theta`` (..., d) and ``y`` (..., n) stack datasets on the shared input
-    rows ``x_pts`` (n, d), one per leading index, factorized in one stacked
-    call. Returns the generalized-least-squares mean mu (...), the variance
+    rows ``x_pts`` (n, d), one per leading index, each factorized on its
+    own. Returns the generalized-least-squares mean mu (...), the variance
     estimate sigma2 (...) and alpha = R^-1 (y - mu) (..., n). A given ``mu``
     (one read back from a file) is used as is, so alpha is rebuilt exactly.
+    Non-finite or mis-sized data raise ValueError.
     """
-    n = x_pts.shape[0]
-    cho = (_factorize(_corr_matrix(x_pts, theta, nugget))[0], True)
-    if mu is None:
-        u = cho_solve(cho, np.broadcast_to(np.ones(n), y.shape)[..., None])[..., 0]
-        mu = np.einsum("...i,...i->...", u, y) / u.sum(axis=-1)
-    resid = y - np.asarray(mu)[..., None]
-    alpha = cho_solve(cho, resid[..., None])[..., 0]
-    sigma2 = np.maximum(np.einsum("...i,...i->...", resid, alpha) / n, 0.0)
-    return mu, sigma2, alpha
+    x_pts, (y,) = _checked(x_pts, [y], axis=-1)
+    n, lead = x_pts.shape[0], y.shape[:-1]
+    theta = np.asarray(theta, dtype=float)
+    mu = None if mu is None else np.asarray(mu, dtype=float)
+    diffs = _sq_diffs(x_pts)
+    mu_out, sigma2, alpha = np.empty(lead), np.empty(lead), np.empty(y.shape)
+    for i in np.ndindex(lead):
+        factor = _cholesky_or_raise(diffs, theta[i], nugget)
+        mu_out[i], resid, alpha[i] = _gls(factor, y[i], mu=None if mu is None else mu[i])
+        sigma2[i] = max((resid @ alpha[i]) / n, 0.0)
+    return mu_out, sigma2, alpha
 
 
 def _build_model(x_pts, y, params: CorrelationParams) -> KrigingModel:
@@ -479,10 +505,11 @@ class IndicatorKriging:
     parameter, factorized once for repeated weight queries."""
 
     def __init__(self, x_pts, params: CorrelationParams):
-        self.x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
+        self.x_pts = _checked(x_pts)[0]
         self.theta = params.theta
-        self._cho = _factorize(_corr_matrix(self.x_pts, params.theta, params.nugget))
-        self._u = cho_solve(self._cho, np.ones(self.x_pts.shape[0]))
+        self._factor = _cholesky_or_raise(_sq_diffs(self.x_pts), params.theta,
+                                          params.nugget)
+        self._u, self._one_u = _mean_weights(self._factor)
 
     def weights(self, x_new) -> np.ndarray:
         """Raw weights of the n inputs at x_new (see indicator_weights)."""
@@ -491,11 +518,9 @@ class IndicatorKriging:
             raise ValueError("query dimension does not match the inputs")
         r = _corr_vector(self.x_pts, x_new, self.theta)
         u = self._u
-        # w_i = mu_i (1 - r'u) + (R^-1 r)_i  with  mu_i = u_i / sum(u); the
-        # factor was finite when made and callers check x_new, so SciPy's
-        # finiteness scan is skipped
-        solve = cho_solve(self._cho, r, check_finite=False)
-        return (u / u.sum()) * (1.0 - r @ u) + solve
+        # w_i = mu_i (1 - r'u) + (R^-1 r)_i  with  mu_i = u_i / 1'u
+        solve = dpotrs(self._factor, r, lower=1)[0]
+        return (u / self._one_u) * (1.0 - r @ u) + solve
 
 
 def indicator_weights(x_pts, params: CorrelationParams, x_new) -> np.ndarray:

@@ -193,6 +193,12 @@ class TestPipeline:
         assert code == 0
         assert (work / "model.ksem").is_file()
 
+    @pytest.mark.parametrize("threshold", [0, 1.5])
+    def test_energy_threshold_out_of_range(self, tmp_path, threshold):
+        cfg = small_config(tmp_path, pod={"energy_threshold": threshold})
+        assert cli.main(["pipeline", "--config", str(cfg)]) == 1
+        assert not (tmp_path / "model.ksem").exists()
+
     def test_config_not_found(self, tmp_path):
         assert cli.main(["pipeline", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -11,8 +11,10 @@ from kspod.kriging import (
     DEFAULT_NUGGET,
     CorrelationParams,
     FitOptions,
+    IndicatorKriging,
     correlation,
     fit,
+    fit_fixed,
     fit_indicator_theta,
     fit_theta,
     fit_thetas,
@@ -173,6 +175,61 @@ class TestFitAndPredict:
         ones = np.ones(10)
         mu = (ones @ rinv @ y) / (ones @ rinv @ ones)
         assert model.mu_hat == pytest.approx(mu, abs=1e-10)
+
+
+class TestCholeskyPath:
+    def test_given_mu_rebuilds_alpha(self):
+        # stacked (2, 3) systems; a loaded model rebuilds alpha from the
+        # stored mu, which must reproduce the trained alpha bit for bit
+        rng = np.random.default_rng(15)
+        x_pts = rng.uniform(size=(10, 2))
+        theta = np.exp(rng.uniform(-1.0, 2.0, size=(2, 3, 2)))
+        y = rng.normal(size=(2, 3, 10))
+        mu, sigma2, alpha = fit_fixed(x_pts, theta, y, DEFAULT_NUGGET)
+        assert mu.shape == sigma2.shape == (2, 3) and alpha.shape == y.shape
+        assert np.array_equal(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, mu)[2], alpha)
+        assert np.array_equal(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, mu + 1.0)[0],
+                              mu + 1.0)
+        for i in np.ndindex(2, 3):
+            one = fit_fixed(x_pts, theta[i], y[i], DEFAULT_NUGGET)
+            assert all(np.array_equal(a, b[i]) for a, b in zip(one, (mu, sigma2, alpha)))
+
+    @pytest.mark.parametrize("factorize", ["fit_fixed", "IndicatorKriging"])
+    def test_duplicates_without_nugget(self, factorize):
+        x_pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
+        with pytest.raises(IllConditionedError):
+            if factorize == "fit_fixed":
+                fit_fixed(x_pts, np.ones(2), np.array([1.0, 1.0, 2.0]), 0.0)
+            else:
+                IndicatorKriging(x_pts, CorrelationParams.isotropic(1.0, 2, nugget=0.0))
+
+
+def _call_entry(entry, x_pts, y):
+    if entry == "fit_thetas":
+        fit_thetas(x_pts, [y], FitOptions(restarts=1))
+    elif entry == "fit_fixed":
+        fit_fixed(x_pts, np.ones(x_pts.shape[1]), y, DEFAULT_NUGGET)
+    else:
+        IndicatorKriging(x_pts, CorrelationParams.isotropic(1.0, x_pts.shape[1]))
+
+
+@pytest.mark.parametrize("entry, bad", [
+    ("fit_thetas", "nan_y"), ("fit_thetas", "short_y"), ("fit_thetas", "nan_x"),
+    ("fit_fixed", "nan_y"), ("fit_fixed", "short_y"), ("fit_fixed", "nan_x"),
+    ("IndicatorKriging", "nan_x"),
+])
+def test_bad_data_rejected_up_front(entry, bad):
+    rng = np.random.default_rng(16)
+    x_pts = rng.uniform(size=(8, 2))
+    y = np.sin(4.0 * x_pts[:, 0]) + x_pts[:, 1]
+    if bad == "nan_y":
+        y[3] = np.nan
+    elif bad == "short_y":
+        y = y[:-1]
+    else:
+        x_pts[3, 1] = np.nan
+    with pytest.raises(ValueError, match="count" if bad == "short_y" else "finite"):
+        _call_entry(entry, x_pts, y)
 
 
 class TestBlockSearch:
