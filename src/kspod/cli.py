@@ -204,16 +204,17 @@ def _cmd_predict(args) -> int:
     if not model_path.is_file():
         raise ConfigError(f"model not found: {model_path}")
     model = load_model(model_path)
+    cfg = _load_config(args.config) if args.config is not None else _CONFIG_DEFAULTS
+    predict_cfg = cfg["predict"]
     if args.x is not None:
         x_new = _parse_vector(args.x)
     elif args.config is not None:
-        cfg = _load_config(args.config)
-        if cfg["predict"]["design"] is None:
+        if predict_cfg["design"] is None:
             raise ConfigError("predict.design missing from config")
-        x_new = np.asarray(cfg["predict"]["design"], dtype=float)
+        x_new = np.asarray(predict_cfg["design"], dtype=float)
     else:
         raise ConfigError("provide --x or a config with predict.design")
-    indices = None
+    indices = predict_cfg["time_indices"]
     if args.times is not None:
         try:
             indices = [int(v) for v in args.times.split(",")]

@@ -35,7 +35,7 @@ from .kriging import (
     fit_indicator_theta,
     fit_thetas,
 )
-from .pod import PODBasis, align_modes, decompose, rank_for_energy, truncate
+from .pod import PODBasis, _time_indices, align_modes, decompose, rank_for_energy, truncate
 from .snapshots import SnapshotSet
 
 __all__ = [
@@ -122,6 +122,13 @@ class EmulatorModel:
     The coefficient GP of mode k at time-step q, on normalized inputs, has
     length-scales ``coeff_theta[k, q]``, mean ``coeff_mu[k, q]``, variance
     ``coeff_sigma2[k, q]`` and weights ``coeff_alpha[k, q] = R^-1 (y - mu)``.
+
+    Prediction reads the case library from one C-contiguous stack
+    ``_library`` of shape (n, K + 1, J), K + 1 rows per case: the K aligned
+    modes as rows (``modes.T``), then the mean field; without centering
+    there is no mean row and the shape is (n, K, J). One product with the
+    normalized weights blends every row of every case at once, and the
+    blended mean row enters the recombination as the coefficient 1.
     """
 
     design: np.ndarray        # (n, d) physical design points
@@ -146,14 +153,15 @@ class EmulatorModel:
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         unit = self.ranges.normalize(design)
-        modes_stack = np.stack([b.modes for b in self.mode_library], axis=0)
-        mean_stack = (
-            np.stack([b.mean_field for b in self.mode_library], axis=0)
-            if self.centering else None
-        )
+        k_rank = self.rank
+        library = np.empty((len(self.mode_library), k_rank + self.centering,
+                            self.num_points))
+        for rows, basis in zip(library, self.mode_library):
+            rows[:k_rank] = basis.modes.T
+            if self.centering:
+                rows[k_rank] = basis.mean_field
         object.__setattr__(self, "_design_unit", unit)
-        object.__setattr__(self, "_modes_stack", modes_stack)
-        object.__setattr__(self, "_mean_stack", mean_stack)
+        object.__setattr__(self, "_library", library)
         object.__setattr__(self, "_indicator", IndicatorKriging(unit, self.weight_params))
 
     @property
@@ -350,51 +358,47 @@ def nw_weights(model: EmulatorModel, x_new, theta: float) -> WeightVector:
     return WeightVector(raw, _normalize_raw(raw, x_new))
 
 
+def _blend(model: EmulatorModel, w: np.ndarray) -> np.ndarray:
+    """Weighted sum over cases of every library row, (K [+ 1], J)."""
+    library = model._library
+    return (w @ library.reshape(library.shape[0], -1)).reshape(library.shape[1:])
+
+
 def predict_modes(model: EmulatorModel, x_new) -> np.ndarray:
     """Normalized-weight average of the aligned per-case modes, (J, K)."""
     w = weight_vector(model, x_new).normalized
-    return np.einsum("n,njk->jk", w, model._modes_stack)
+    return _blend(model, w)[:model.rank].T
 
 
 def predict_coefficients(model: EmulatorModel, x_new,
                          time_indices=None) -> np.ndarray:
     """Coefficient predictions (K, len(indices)) from the per-(k, q) models."""
     sq = (model._design_unit - _normalize_query(model, x_new)) ** 2
-    idx = _resolve_indices(model, time_indices)
+    idx = _time_indices(time_indices, model.num_snapshots)
     r = np.exp(-(model.coeff_theta[:, idx] @ sq.T))
     return model.coeff_mu[:, idx] + np.einsum(
         "kqn,kqn->kq", r, model.coeff_alpha[:, idx])
-
-
-def _resolve_indices(model: EmulatorModel, time_indices) -> np.ndarray:
-    if time_indices is None:
-        return np.arange(model.num_snapshots)
-    idx = np.asarray(time_indices, dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= model.num_snapshots):
-        raise IndexError("time index out of range")
-    return idx
 
 
 def predict_field(model: EmulatorModel, x_new, time_indices=None) -> np.ndarray:
     """Full-field prediction (J, len(indices)) at an untried design point.
 
     Combines predicted modes and coefficients; with centering on, the mean
-    field is blended with the same normalized weights as the modes.
+    field is blended with the same normalized weights as the modes and
+    added inside the recombining product as a coefficient row of ones.
     """
     w = weight_vector(model, x_new).normalized
-    modes = np.einsum("n,njk->jk", w, model._modes_stack)
     beta = predict_coefficients(model, x_new, time_indices)
-    fld = modes @ beta
     if model.centering:
-        fld = fld + (w @ model._mean_stack)[:, None]
-    return fld
+        beta = np.vstack((beta, np.ones(beta.shape[1])))
+    return _blend(model, w).T @ beta
 
 
 def predict_snapshots(model: EmulatorModel, x_new,
                       time_indices=None) -> SnapshotSet:
     """Predict and wrap as a SnapshotSet (case_id 'predicted:<design hash>')."""
-    idx = _resolve_indices(model, time_indices)
-    fld = predict_field(model, x_new, idx)
+    idx = _time_indices(time_indices, model.num_snapshots)
+    fld = predict_field(model, x_new, time_indices)
     x = np.atleast_1d(np.asarray(x_new, dtype=float))
     digest = hashlib.sha256(x.tobytes()).hexdigest()[:12]
     return SnapshotSet(

@@ -458,21 +458,29 @@ def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
     """Closed-form ordinary-kriging fit at fixed length-scales.
 
     ``theta`` (..., d) and ``y`` (..., n) stack datasets on the shared input
-    rows ``x_pts`` (n, d), one per leading index, each factorized on its
-    own. Returns the generalized-least-squares mean mu (...), the variance
-    estimate sigma2 (...) and alpha = R^-1 (y - mu) (..., n). A given ``mu``
-    (one read back from a file) is used as is, so alpha is rebuilt exactly.
-    Non-finite or mis-sized data raise ValueError.
+    rows ``x_pts`` (n, d), one per leading index. Each dataset is solved on
+    its own, and a correlation factor is reused while consecutive theta rows
+    (in C order) are equal, so a theta shared across time-steps is
+    factorized once per mode. Returns the generalized-least-squares mean mu
+    (...), the variance estimate sigma2 (...) and alpha = R^-1 (y - mu)
+    (..., n). A given ``mu`` (one read back from a file) is used as is, so
+    alpha is rebuilt exactly. Non-finite or mis-sized data raise ValueError.
     """
     x_pts, (y,) = _checked(x_pts, [y], axis=-1)
-    n, lead = x_pts.shape[0], y.shape[:-1]
-    theta = np.asarray(theta, dtype=float)
+    (n, d), lead = x_pts.shape, y.shape[:-1]
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), lead + (d,))
     mu = None if mu is None else np.asarray(mu, dtype=float)
+    rows = theta.reshape(-1, d)
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     diffs = _sq_diffs(x_pts)
     mu_out, sigma2, alpha = np.empty(lead), np.empty(lead), np.empty(y.shape)
-    for i in np.ndindex(lead):
-        factor = _cholesky_or_raise(diffs, theta[i], nugget)
-        mu_out[i], resid, alpha[i] = _gls(factor, y[i], mu=None if mu is None else mu[i])
+    for new_factor, i in zip(fresh, np.ndindex(lead)):
+        if new_factor:
+            factor = _cholesky_or_raise(diffs, theta[i], nugget)
+            weights = _mean_weights(factor) if mu is None else None
+        mu_out[i], resid, alpha[i] = _gls(factor, y[i], weights,
+                                          None if mu is None else mu[i])
         sigma2[i] = max((resid @ alpha[i]) / n, 0.0)
     return mu_out, sigma2, alpha
 
@@ -488,16 +496,12 @@ def predict(model: KrigingModel, x_new) -> float:
     Also accepts a (q, d) array of query points, returning a (q,) vector.
     """
     x_new = np.asarray(x_new, dtype=float)
-    if x_new.ndim == 1:
-        if x_new.size != model.dims:
-            raise ValueError("query dimension does not match the model")
-        r = _corr_vector(model.inputs, x_new, model.params.theta)
-        return float(model.mu_hat + r @ model.alpha)
-    if x_new.ndim == 2 and x_new.shape[1] == model.dims:
-        diffs = (model.inputs[None, :, :] - x_new[:, None, :]) ** 2
-        r = np.exp(-diffs @ model.params.theta)
-        return model.mu_hat + r @ model.alpha
-    raise ValueError("query must be a (d,) vector or (q, d) array")
+    if x_new.ndim not in (1, 2) or x_new.shape[-1] != model.dims:
+        raise ValueError("query dimension does not match the model" if x_new.ndim == 1
+                         else "query must be a (d,) vector or (q, d) array")
+    r = np.exp(-((model.inputs - x_new[..., None, :]) ** 2) @ model.params.theta)
+    value = model.mu_hat + r @ model.alpha
+    return float(value) if x_new.ndim == 1 else value
 
 
 class IndicatorKriging:

@@ -200,18 +200,32 @@ def truncate(basis: PODBasis, energy_threshold: float = None,
     )
 
 
+def _time_indices(time_indices, count: int):
+    """Snapshot indices into ``count`` steps: ``slice(None)`` (every step,
+    without copying) for None, else a 1-D integer array inside the range.
+    Boolean masks, non-integer values and other shapes raise IndexError
+    rather than being cast to indices."""
+    if time_indices is None:
+        return slice(None)
+    idx = np.asarray(time_indices)
+    if idx.ndim != 1:
+        raise IndexError("time indices must be a 1-D sequence")
+    if idx.size == 0:
+        return idx.astype(int)
+    if idx.dtype.kind not in "iu":
+        raise IndexError(f"time indices must be integers, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= count:
+        raise IndexError("time index out of range")
+    return idx
+
+
 def reconstruct(basis: PODBasis, num_modes: int = None,
                 time_indices=None) -> np.ndarray:
     """Rank-limited reconstruction at the requested snapshot indices."""
     k = basis.num_modes if num_modes is None else int(num_modes)
     if k < 0 or k > basis.num_modes:
         raise ValueError(f"num_modes must be in [0, {basis.num_modes}], got {k}")
-    if time_indices is None:
-        idx = np.arange(basis.num_snapshots)
-    else:
-        idx = np.asarray(time_indices, dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= basis.num_snapshots):
-            raise IndexError("time index out of range")
+    idx = _time_indices(time_indices, basis.num_snapshots)
     fld = basis.modes[:, :k] @ basis.coeffs[idx, :k].T
     if basis.mean_field is not None:
         fld = fld + basis.mean_field[:, None]

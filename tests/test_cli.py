@@ -155,6 +155,30 @@ class TestStepwiseCommands:
             "--x", "0.4,14.0", "--times", "a,b", "--out", str(out),
         ]) == 2
 
+    def test_config_time_indices(self, tmp_path):
+        cfg = small_config(tmp_path, predict={"design": [0.4, 14.0],
+                                              "time_indices": [1, 3, 5, 7]})
+        assert cli.main([
+            "design", "--dims", "2", "--slices", "2", "--per-slice", "3",
+            "--seed", "3", "--out", str(tmp_path / "design.csv"),
+        ]) == 0
+        assert cli.main(["synth", "--config", str(cfg)]) == 0
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        model = str(tmp_path / "model.ksem")
+        out = tmp_path / "p.kspd"
+        # the configured indices apply when --times is absent, with --x or not
+        for extra in ([], ["--x", "0.4,14.0"]):
+            assert cli.main(["predict", "--model", model, "--config", str(cfg),
+                             "--out", str(out)] + extra) == 0
+            pred = read_dataset(out)
+            assert pred.num_snapshots == 4
+            assert np.array_equal(pred.times, read_dataset(
+                tmp_path / "data" / "train" / "case_000.kspd").times[[1, 3, 5, 7]])
+        # --times overrides the config
+        assert cli.main(["predict", "--model", model, "--config", str(cfg),
+                         "--times", "0,2", "--out", str(out)]) == 0
+        assert read_dataset(out).num_snapshots == 2
+
 
 class TestPipeline:
     def test_end_to_end(self, tmp_path, monkeypatch):

@@ -39,6 +39,12 @@ def analytic_case(amp1, amp2, design, case_id, m=16):
     return SnapshotSet(case_id, design, grid, np.arange(m) * 1e-3, fld)
 
 
+@pytest.fixture(scope="module")
+def uncentered_model(desk_setup, small_cases):
+    return train(small_cases, TrainOptions(ranges=desk_setup["ranges"], centering=False,
+                                           coeff_theta_mode="shared"))
+
+
 class TestTrain:
     def test_min_rank_rule(self):
         # energy splits {0.8, 0.2} and {0.95, 0.05}; threshold 0.9 gives
@@ -312,6 +318,36 @@ class TestPrediction:
         assert np.array_equal(sub, full[:, [0, 5, 9]])
         with pytest.raises(IndexError):
             predict_field(small_model, x, time_indices=[99])
+
+    @pytest.mark.parametrize("indices", [
+        [True, False, True],  # a boolean mask, not steps [1, 0, 1]
+        [2.7],                # not truncated to step 2
+        [[0, 1], [2, 3]],     # not 1-D
+    ])
+    def test_malformed_time_indices_rejected(self, small_model, indices):
+        x = small_model.design[3]
+        for predict in (predict_field, predict_coefficients, predict_snapshots):
+            with pytest.raises(IndexError):
+                predict(small_model, x, time_indices=indices)
+
+    @pytest.mark.parametrize("fixture", ["small_model", "uncentered_model"])
+    @pytest.mark.parametrize("indices", [None, [5], []])
+    def test_field_composes_modes_coefficients_and_mean(
+            self, request, desk_setup, fixture, indices):
+        model = request.getfixturevalue(fixture)
+        x = desk_setup["ranges"].scale(np.array([0.41, 0.63, 0.28]))
+        modes = predict_modes(model, x)
+        assert modes.shape == (model.num_points, model.rank)
+        expected = modes @ predict_coefficients(model, x, indices)
+        if model.centering:
+            w = weight_vector(model, x).normalized
+            expected += (w @ np.stack([b.mean_field for b in model.mode_library]))[:, None]
+        fld = predict_field(model, x, indices)
+        count = model.num_snapshots if indices is None else len(indices)
+        assert fld.shape == (model.num_points, count)
+        if count:
+            scale = np.abs(expected).max()
+            assert np.abs(fld - expected).max() <= 1e-13 * scale
 
     def test_sign_flip_robustness(self, small_cases, desk_setup):
         options = TrainOptions(ranges=desk_setup["ranges"], num_modes=2)

@@ -178,6 +178,16 @@ class TestReconstruct:
         with pytest.raises(IndexError):
             reconstruct(basis, time_indices=[99])
 
+    @pytest.mark.parametrize("indices", [
+        [True, False, True, False],  # a boolean mask, not steps [1, 0, 1, 0]
+        [2.7],                       # not truncated to step 2
+        [[0, 1], [2, 3]],            # not 1-D
+    ])
+    def test_malformed_indices_rejected(self, indices):
+        basis = decompose(two_mode_field(), centering=False)
+        with pytest.raises(IndexError):
+            reconstruct(basis, time_indices=indices)
+
 
 class TestAlignModes:
     def test_flipped_target_restored(self):
