@@ -51,7 +51,6 @@ _CONFIG_DEFAULTS = {
         "nugget": 1e-8,
         "log_theta_bounds": [-6.0, 6.0],
         "restarts": 8,
-        "coeff_theta_mode": "per-model",
         "weight_theta": None,
     },
     "test": {"count": 8, "shrink": 0.75},
@@ -121,7 +120,6 @@ def _train_options(cfg: dict) -> TrainOptions:
         nugget=float(krg["nugget"]),
         log_theta_bounds=tuple(krg["log_theta_bounds"]),
         restarts=int(krg["restarts"]),
-        coeff_theta_mode=krg["coeff_theta_mode"],
         weight_theta=krg["weight_theta"],
     )
 

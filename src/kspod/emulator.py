@@ -3,9 +3,12 @@
 Training decomposes every case into spatial modes and temporal coefficients,
 sign-aligns the mode libraries to the first case, fits one kriging model per
 (mode, time-step) coefficient (held as stacked arrays), and configures
-shared-parameter indicator kriging over the design space. Prediction at an
-untried design blends the per-case modes (and mean fields) with normalized
-indicator weights and evaluates the coefficient models, then recombines.
+shared-parameter indicator kriging over the design space. The coefficient
+models pool only their length-scale: it is searched once per mode, on all
+time-steps together, while each (mode, time-step) model keeps its own mean,
+variance and weights. Prediction at an untried design blends the per-case
+modes (and mean fields) with normalized indicator weights and evaluates the
+coefficient models, then recombines.
 
 Design vectors are normalized to the unit cube before any kriging; the
 squared-exponential correlation is not scale-invariant.
@@ -33,7 +36,7 @@ from .kriging import (
     IndicatorKriging,
     fit_fixed,
     fit_indicator_theta,
-    fit_thetas,
+    fit_theta,
 )
 from .pod import PODBasis, _time_indices, align_modes, decompose, rank_for_energy, truncate
 from .snapshots import SnapshotSet
@@ -76,11 +79,12 @@ class TrainOptions:
     the cumulative ``energy_threshold``. ``cluster_filter`` restricts
     training to cases whose metadata cluster is listed (metadata must then
     be supplied, aligned with the cases). ``ranges`` defaults to the
-    bounding box of the training designs. ``coeff_theta_mode`` is
-    ``"per-model"`` (one length-scale search per mode and time-step) or
-    ``"shared"`` (one search per mode, shared across time-steps).
-    ``nugget``, ``log_theta_bounds`` and ``restarts`` are checked as
-    ``FitOptions``.
+    bounding box of the training designs. ``nugget``, ``log_theta_bounds``
+    and ``restarts`` are checked as ``FitOptions`` and set the coefficient
+    length-scale search, which runs once per mode on all its time-steps
+    together: only the length-scale is pooled, and each (mode, time-step)
+    model keeps its own mean, variance and weights. ``weight_theta`` fixes
+    the indicator-weight parameter instead of fitting it.
     """
 
     energy_threshold: float = 0.99
@@ -92,7 +96,6 @@ class TrainOptions:
     nugget: float = DEFAULT_NUGGET
     log_theta_bounds: tuple = DEFAULT_LOG_THETA_BOUNDS
     restarts: int = 8
-    coeff_theta_mode: str = "per-model"
     weight_theta: float = None
 
     def __post_init__(self):
@@ -100,8 +103,6 @@ class TrainOptions:
             raise ValueError("energy_threshold must lie in (0, 1]")
         if self.num_modes is not None and self.num_modes < 1:
             raise ValueError("num_modes must be at least 1")
-        if self.coeff_theta_mode not in ("per-model", "shared"):
-            raise ValueError("coeff_theta_mode must be 'per-model' or 'shared'")
         if self.cluster_filter is not None:
             members = frozenset(
                 c if isinstance(c, Cluster) else Cluster(str(c))
@@ -122,6 +123,8 @@ class EmulatorModel:
     The coefficient GP of mode k at time-step q, on normalized inputs, has
     length-scales ``coeff_theta[k, q]``, mean ``coeff_mu[k, q]``, variance
     ``coeff_sigma2[k, q]`` and weights ``coeff_alpha[k, q] = R^-1 (y - mu)``.
+    Training repeats each mode's length-scale across time-steps; the (K, m, d)
+    layout also holds the per-(mode, time-step) length-scales of older files.
 
     Prediction reads the case library from one C-contiguous stack
     ``_library`` of shape (n, K + 1, J), K + 1 rows per case: the K aligned
@@ -206,22 +209,6 @@ def _common_rank(bases, options: TrainOptions) -> int:
     return k
 
 
-def _fit_coeff_theta(unit_design, coeff_tensor, options: TrainOptions) -> np.ndarray:
-    """Length-scales (K, m, d) of the coefficient GPs, coeff_tensor (n, m, K)."""
-    _, m, k_rank = coeff_tensor.shape
-    fit_opts = options.fit_options
-    if options.coeff_theta_mode == "shared":
-        theta = fit_thetas(unit_design, [coeff_tensor[:, :, k] for k in range(k_rank)],
-                           fit_opts)
-        return np.repeat(theta[:, None, :], m, axis=1)
-    theta = fit_thetas(
-        unit_design,
-        [coeff_tensor[:, q, k] for k in range(k_rank) for q in range(m)],
-        fit_opts,
-    )
-    return theta.reshape(k_rank, m, -1)
-
-
 def train(cases, options: TrainOptions = None) -> EmulatorModel:
     """Train the emulator from per-case snapshot sets.
 
@@ -281,7 +268,9 @@ def _assemble(design, bases, ref_case: SnapshotSet,
     unit = ranges.normalize(design)
 
     coeff_tensor = np.stack([b.coeffs for b in aligned], axis=0)  # (n, m, K)
-    theta = _fit_coeff_theta(unit, coeff_tensor, options)
+    # one length-scale per mode, from the (n, m) block of all its time-steps
+    theta = np.repeat([[fit_theta(unit, coeff_tensor[:, :, k], options.fit_options)]
+                       for k in range(k_rank)], coeff_tensor.shape[1], axis=1)
     mu, sigma2, alpha = fit_fixed(unit, theta, coeff_tensor.transpose(2, 1, 0),
                                   options.nugget)
 
@@ -301,7 +290,7 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         "nugget": options.nugget,
         "log_theta_bounds": tuple(options.log_theta_bounds),
         "restarts": options.restarts,
-        "coeff_theta_mode": options.coeff_theta_mode,
+        "shared_theta": True,
         "weight_theta": float(theta_w),
     }
     return EmulatorModel(
@@ -425,9 +414,11 @@ def save_model(model: EmulatorModel, path) -> None:
 
     w = Writer(MAGIC)
     flags = 1 if model.centering else 0
+    # the eighth word is 1 when each mode's length-scale is shared across
+    # time-steps; files fitted per (mode, time-step) carry 0 and keep it
     w.u64(n, d, j, m, k_rank, flags,
           int(rec.get("restarts", 8)),
-          1 if rec.get("coeff_theta_mode") == "shared" else 0,
+          1 if rec.get("shared_theta", True) else 0,
           int(rec.get("num_modes") or 0))
     lb, ub = rec.get("log_theta_bounds", DEFAULT_LOG_THETA_BOUNDS)
     thr = rec.get("energy_threshold")
@@ -507,7 +498,7 @@ def load_model(path) -> EmulatorModel:
         "nugget": float(nugget),
         "log_theta_bounds": (float(lb), float(ub)),
         "restarts": int(restarts),
-        "coeff_theta_mode": "shared" if shared else "per-model",
+        "shared_theta": bool(shared),
         "weight_theta": float(weight_theta),
     }
     return EmulatorModel(

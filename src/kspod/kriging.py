@@ -2,21 +2,17 @@
 
 Length-scale parameters are tuned by maximizing the profile log-likelihood
 (process mean and variance eliminated analytically), using a multi-start
-coordinate search in log space followed by local refinement. One objective
-serves a single dataset and a block of datasets sharing one length-scale
-vector. Many datasets on the same inputs are searched as one block: each
-start point is run for every dataset before the next, and the correlation
-factorizations, which depend on the length-scales alone, are shared through
-one bounded cache, so fits that revisit a length-scale vector reuse them.
-Every correlation matrix is factorized by one LAPACK Cholesky helper, and
-the search and the closed-form fit at fixed length-scales, which keeps many
-models on the same inputs as arrays, share one least-squares step.
-Prediction is the closed-form conditional mean. Indicator-vector kriging
-with one shared isotropic parameter provides per-case blending weights
-whose raw values sum to one identically.
+coordinate search in log space followed by local refinement. One search
+serves a single dataset or a block of datasets on the same inputs: the
+block shares one length-scale vector, while each dataset keeps its own
+mean and variance. Every correlation matrix is factorized by one LAPACK
+Cholesky helper, and the search and the closed-form fit at fixed
+length-scales, which keeps many models on the same inputs as arrays, share
+one least-squares step. Prediction is the closed-form conditional mean.
+Indicator-vector kriging with one shared isotropic parameter provides
+per-case blending weights whose raw values sum to one identically.
 """
 
-import collections
 import logging
 import warnings
 from dataclasses import dataclass, field as dataclass_field
@@ -38,7 +34,6 @@ __all__ = [
     "fit_fixed",
     "fit_indicator_theta",
     "fit_theta",
-    "fit_thetas",
     "indicator_weights",
     "predict",
     "read_model",
@@ -55,9 +50,6 @@ DEFAULT_LOG_THETA_BOUNDS = (-6.0, 6.0)
 _START_TABLE = np.random.default_rng(20240311).uniform(size=(32, 16))
 
 _HUGE = 1e300
-
-# Memory budget of the correlation factors one block search keeps for reuse.
-_FACTOR_CACHE_BYTES = 4 << 20
 
 _log = logging.getLogger("kspod")
 
@@ -228,35 +220,6 @@ def _pivots_degenerate(factor: np.ndarray, nugget: float) -> bool:
     return smallest * smallest <= 10.0 * nugget
 
 
-def _theta_part(diffs, nugget, log_theta):
-    """The length-scale-only part of the profile likelihood.
-
-    Returns the lower Cholesky factor of R(theta), u = R^-1 1, 1'u and
-    log det R, or None when R is not positive definite or its pivots are
-    dominated by the nugget.
-    """
-    factor = _cholesky(diffs, np.exp(log_theta), nugget)
-    if factor is None or _pivots_degenerate(factor, nugget):
-        return None
-    logdet = 2.0 * np.sum(np.log(np.diag(factor)))
-    return (factor, *_mean_weights(factor), logdet)
-
-
-def _dataset_nll(part, y) -> float:
-    """The per-dataset part: profile the mean and variance of ``y`` given the
-    length-scale part ``part`` (see _theta_part; None scores as _HUGE)."""
-    if part is None:
-        return _HUGE
-    factor, u, one_u, logdet = part
-    n = factor.shape[0]
-    _, resid, alpha = _gls(factor, y, (u, one_u))
-    # resid' R^-1 resid per dataset, each as one dot product
-    quad = resid.T[..., None, :] @ alpha.T[..., :, None]
-    sigma2 = np.maximum(quad / n, 1e-300)
-    value = 0.5 * n * np.sum(np.log(sigma2)) + 0.5 * sigma2.size * logdet
-    return value if np.isfinite(value) else _HUGE
-
-
 def _profile_nll(diffs, y, nugget, log_theta) -> float:
     """Negative profile log-likelihood of log-theta for one observation block.
 
@@ -264,68 +227,20 @@ def _profile_nll(diffs, y, nugget, log_theta) -> float:
     dataset (n,) or q datasets (n, q) sharing the correlation matrix R. Each
     dataset's mean is profiled by generalized least squares and its variance
     in closed form, leaving the sum over datasets of
-    n/2 log(sigma2) + 1/2 log det R.
+    n/2 log(sigma2) + 1/2 log det R. Length-scales whose R is not positive
+    definite, or whose pivots are dominated by the nugget, score _HUGE.
     """
-    return _dataset_nll(_theta_part(diffs, nugget, log_theta), y)
-
-
-class _FactorCache:
-    """Length-scale parts of the profile likelihood on fixed inputs, reused
-    across fits: an LRU keyed by the exact log-theta bytes, so a cached part
-    is the one _theta_part would recompute.
-
-    The factors and u vectors live in one preallocated block of at most
-    _FACTOR_CACHE_BYTES. Kept as hundreds of separate small arrays instead,
-    they measurably slowed later model loads in the same process.
-    """
-
-    def __init__(self, diffs, nugget):
-        n = diffs.shape[0]
-        self._diffs = diffs
-        self._nugget = nugget
-        self._size = _FACTOR_CACHE_BYTES // (8 * n * (n + 1))
-        self._factors = np.empty((self._size, n, n))  # transposed lower factors
-        self._us = np.empty((self._size, n))
-        self._entries = collections.OrderedDict()  # key -> (slot, 1'u, log det) or None
-        self._free_slots = []
-        self._next_slot = 0
-        self.evaluations = 0
-        self.factorizations = 0
-        self.rejected = 0
-
-    def __call__(self, log_theta):
-        self.evaluations += 1
-        key = np.asarray(log_theta, dtype=float).tobytes()
-        try:
-            entry = self._entries[key]
-        except KeyError:
-            part = _theta_part(self._diffs, self._nugget, np.frombuffer(key))
-            self.factorizations += 1
-            self._keep(key, part)
-        else:
-            self._entries.move_to_end(key)
-            part = None if entry is None else (
-                self._factors[entry[0]].T, self._us[entry[0]], *entry[1:])
-        self.rejected += part is None
-        return part
-
-    def _keep(self, key, part):
-        if self._size == 0:
-            return
-        if len(self._entries) == self._size:
-            evicted = self._entries.popitem(last=False)[1]
-            if evicted is not None:
-                self._free_slots.append(evicted[0])
-        if part is None:
-            self._entries[key] = None
-            return
-        if self._free_slots:
-            slot = self._free_slots.pop()
-        else:
-            slot, self._next_slot = self._next_slot, self._next_slot + 1
-        self._factors[slot] = part[0].T
-        self._us[slot] = part[1]
-        self._entries[key] = (slot, part[2], part[3])
+    factor = _cholesky(diffs, np.exp(log_theta), nugget)
+    if factor is None or _pivots_degenerate(factor, nugget):
+        return _HUGE
+    n = factor.shape[0]
+    logdet = 2.0 * np.sum(np.log(np.diag(factor)))
+    _, resid, alpha = _gls(factor, y)
+    # resid' R^-1 resid per dataset, each as one dot product
+    quad = resid.T[..., None, :] @ alpha.T[..., :, None]
+    sigma2 = np.maximum(quad / n, 1e-300)
+    value = 0.5 * n * np.sum(np.log(sigma2)) + 0.5 * sigma2.size * logdet
+    return value if np.isfinite(value) else _HUGE
 
 
 def _coordinate_search(func, x0, lo, hi, step0=1.5, min_step=0.05):
@@ -361,81 +276,63 @@ def _starts(dims: int, count: int, lo: float, hi: float) -> np.ndarray:
     return np.asarray(pts)
 
 
-def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
-    """Length-scales maximizing the profile likelihood of y at inputs x_pts.
-
-    ``y`` is one dataset (n,) or a block (n, q) of datasets sharing one
-    theta; this is the one-dataset case of fit_thetas.
-    """
-    return fit_thetas(x_pts, [y], options)[0]
-
-
 def _is_constant(y) -> bool:
     spread = np.ptp(y, axis=0)
     return bool(np.all(spread <= 1e-14 * max(1.0, float(np.max(np.abs(y))))))
 
 
-def fit_thetas(x_pts, ys, options: FitOptions = None) -> np.ndarray:
-    """Length-scales (len(ys), d) fitted to each dataset of ys at inputs x_pts.
+def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
+    """Length-scales (d,) maximizing the profile likelihood of y at inputs x_pts.
 
-    Each entry of ``ys`` is one dataset (n,) or a block (n, q) of datasets
-    sharing one theta, and gets the theta fit_theta would give it alone:
-    the multistart coordinate search from every start point, then an
-    L-BFGS-B polish from the best. The searches run start by start across
-    all datasets, so the start lattice that every search walks stays in the
-    shared factor cache. Constant data skip the search (every theta
-    predicts the constant) and keep theta = 1. Exact duplicate rows with a
-    zero nugget raise IllConditionedError. A block with any dataset to
-    search logs one DEBUG record on the "kspod" logger: the evaluation,
-    factorization and rejection counts and how many fitted components sit
-    on the search bounds. Non-finite or mis-sized data raise ValueError.
+    ``y`` is one dataset (n,) or a block (n, q) of datasets sharing one
+    theta. The multistart coordinate search runs from every start point,
+    then an L-BFGS-B polish from the best. Constant data skip the search
+    (every theta predicts the constant) and keep theta = 1. Exact duplicate
+    rows with a zero nugget raise IllConditionedError. Each search logs one
+    DEBUG record on the "kspod" logger: the likelihood evaluations, how many
+    of them were rejected, and how many fitted components sit on the search
+    bounds. Non-finite or mis-sized data raise ValueError.
     """
     options = options or FitOptions()
-    x_pts, ys = _checked(x_pts, ys)
+    x_pts, (y,) = _checked(x_pts, [y])
     n, d = x_pts.shape
-    log_thetas = np.zeros((len(ys), d))
-    searched = [] if n == 1 else [i for i, y in enumerate(ys) if not _is_constant(y)]
-    if not searched:
-        return np.exp(log_thetas)
+    if n == 1 or _is_constant(y):
+        return np.ones(d)
     diffs = _sq_diffs(x_pts)
-    factors = _FactorCache(diffs, options.nugget)
+    scores = []
 
-    def objective(y):
-        return lambda log_theta: _dataset_nll(factors(log_theta), y)
+    def objective(log_theta):
+        scores.append(_profile_nll(diffs, y, options.nugget, log_theta))
+        return scores[-1]
 
     lo, hi = options.log_theta_bounds
-    best = {i: (None, np.inf) for i in searched}
-    for x0 in _starts(d, options.restarts, lo, hi):
-        for i in searched:
-            x, fx = _coordinate_search(objective(ys[i]), x0, lo, hi)
-            if fx < best[i][1]:
-                best[i] = (x, fx)
-    for i in searched:
-        best_x, best_f = best[i]
-        result = optimize.minimize(
-            objective(ys[i]), best_x, method="L-BFGS-B",
-            bounds=[(lo, hi)] * d, options={"maxiter": 60},
-        )
-        if np.isfinite(result.fun) and result.fun < best_f:
-            best_x, best_f = result.x, result.fun
-        if best_f >= _HUGE:
-            # a singular correlation matrix (duplicate rows, no nugget) makes
-            # the likelihood undefined everywhere; report it as such
-            _cholesky_or_raise(diffs, np.ones(d), options.nugget)
-            raise FitError(
-                "likelihood not finite anywhere in the search box",
-                best_theta=np.exp(best_x),
-            )
-        log_thetas[i] = best_x
-    fitted = log_thetas[searched]
-    _log.debug(
-        "fit_thetas: %d datasets, %d likelihood evaluations, %d factorizations, "
-        "%d evaluations rejected (R not positive definite or pivots dominated "
-        "by the nugget), %d of %d length-scales on the search bounds",
-        len(ys), factors.evaluations, factors.factorizations, factors.rejected,
-        int(np.sum((fitted <= lo) | (fitted >= hi))), fitted.size,
+    best_x, best_f = min(
+        (_coordinate_search(objective, x0, lo, hi)
+         for x0 in _starts(d, options.restarts, lo, hi)),
+        key=lambda searched: searched[1],
     )
-    return np.exp(log_thetas)
+    result = optimize.minimize(
+        objective, best_x, method="L-BFGS-B",
+        bounds=[(lo, hi)] * d, options={"maxiter": 60},
+    )
+    if np.isfinite(result.fun) and result.fun < best_f:
+        best_x, best_f = result.x, result.fun
+    if best_f >= _HUGE:
+        # a singular correlation matrix (duplicate rows, no nugget) makes
+        # the likelihood undefined everywhere; report it as such
+        _cholesky_or_raise(diffs, np.ones(d), options.nugget)
+        raise FitError(
+            "likelihood not finite anywhere in the search box",
+            best_theta=np.exp(best_x),
+        )
+    _log.debug(
+        "fit_theta: %d likelihood evaluations, %d rejected (R not positive "
+        "definite, pivots dominated by the nugget, or a non-finite "
+        "likelihood), %d of %d length-scales on the search bounds",
+        len(scores), scores.count(_HUGE),
+        int(np.sum((best_x <= lo) | (best_x >= hi))), d,
+    )
+    return np.exp(best_x)
 
 
 def fit(x_pts, y, options: FitOptions = None) -> KrigingModel:

@@ -231,3 +231,10 @@ class TestPipeline:
         path.write_text(json.dumps({"seeed": 1}), encoding="utf-8")
         assert cli.main(["pipeline", "--config", str(path)]) == 2
 
+    def test_removed_theta_mode_key(self, tmp_path):
+        # the coefficient length-scale is always shared per mode; the key
+        # that once chose it is now unknown
+        cfg = small_config(tmp_path, kriging={"coeff_theta_mode": "shared"})
+        assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "model.ksem").exists()
+

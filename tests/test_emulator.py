@@ -1,3 +1,6 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from kspod.errors import (
     IncompatibleCasesError,
     NonFiniteDataError,
 )
-from kspod.kriging import CorrelationParams, FitOptions, indicator_weights
+from kspod.kriging import CorrelationParams, FitOptions, fit_fixed, fit_theta, indicator_weights
 from kspod.pod import PODBasis, decompose, reconstruct, truncate
 from kspod.snapshots import SnapshotSet
 from test_kriging import dense_predict
@@ -41,8 +44,7 @@ def analytic_case(amp1, amp2, design, case_id, m=16):
 
 @pytest.fixture(scope="module")
 def uncentered_model(desk_setup, small_cases):
-    return train(small_cases, TrainOptions(ranges=desk_setup["ranges"], centering=False,
-                                           coeff_theta_mode="shared"))
+    return train(small_cases, TrainOptions(ranges=desk_setup["ranges"], centering=False))
 
 
 class TestTrain:
@@ -385,12 +387,15 @@ class TestPrediction:
 
 class TestOptions:
     def test_shared_theta_mode_interpolates(self, small_cases, desk_setup):
-        options = TrainOptions(ranges=desk_setup["ranges"], num_modes=2,
-                               coeff_theta_mode="shared")
+        options = TrainOptions(ranges=desk_setup["ranges"], num_modes=2)
         model = train(small_cases, options)
-        # one theta per mode, shared across time-steps
-        for row in model.coeff_theta:
+        # one theta per mode, searched on the (n, m) block of all its
+        # time-steps and shared across them
+        unit = model.ranges.normalize(model.design)
+        coeffs = np.stack([b.coeffs for b in model.mode_library])
+        for k, row in enumerate(model.coeff_theta):
             assert np.array_equal(row, np.broadcast_to(row[0], row.shape))
+            assert np.array_equal(row[0], fit_theta(unit, coeffs[:, :, k]))
         case = small_cases[2]
         basis = decompose(case)
         target = reconstruct(truncate(basis, num_modes=2))
@@ -409,8 +414,6 @@ class TestOptions:
             TrainOptions(energy_threshold=1.5)
         with pytest.raises(ValueError):
             TrainOptions(num_modes=0)
-        with pytest.raises(ValueError):
-            TrainOptions(coeff_theta_mode="sideways")
         for bad in ({"restarts": 0}, {"nugget": -1e-3},
                     {"log_theta_bounds": (3.0, -3.0)}):
             with pytest.raises(ValueError):
@@ -432,6 +435,30 @@ class TestSerialization:
         p1, p2 = tmp_path / "a.ksem", tmp_path / "b.ksem"
         save_model(small_model, p1)
         save_model(load_model(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_per_step_theta_file(self, small_model, desk_setup, tmp_path):
+        # a file whose theta was searched per (mode, time-step), as older
+        # writers stored it: the header's eighth word is 0 and must survive
+        unit = small_model.ranges.normalize(small_model.design)
+        coeffs = np.stack([b.coeffs for b in small_model.mode_library]).transpose(2, 1, 0)
+        theta = np.array([[fit_theta(unit, y) for y in mode] for mode in coeffs])
+        assert not np.array_equal(theta, np.broadcast_to(theta[:, :1], theta.shape))
+        nugget = small_model.options_record["nugget"]
+        mu, sigma2, alpha = fit_fixed(unit, theta, coeffs, nugget)
+        per_step = dataclasses.replace(
+            small_model, coeff_theta=theta, coeff_mu=mu, coeff_sigma2=sigma2,
+            coeff_alpha=alpha,
+            options_record={**small_model.options_record, "shared_theta": False})
+        p1, p2 = tmp_path / "a.ksem", tmp_path / "b.ksem"
+        save_model(per_step, p1)
+        assert struct.unpack_from("<Q", p1.read_bytes(), 6 + 7 * 8) == (0,)
+        loaded = load_model(p1)
+        assert np.array_equal(loaded.coeff_theta, theta)
+        assert np.array_equal(loaded.coeff_alpha, fit_fixed(unit, theta, coeffs, nugget, mu)[2])
+        probe = desk_setup["ranges"].scale(np.array([0.3, 0.6, 0.9]))
+        assert np.array_equal(predict_field(loaded, probe), predict_field(per_step, probe))
+        save_model(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_options_record_survives(self, small_model, tmp_path):

@@ -17,7 +17,6 @@ from kspod.kriging import (
     fit_fixed,
     fit_indicator_theta,
     fit_theta,
-    fit_thetas,
     indicator_weights,
     predict,
     read_model,
@@ -225,8 +224,8 @@ class TestCholeskyPath:
 
 
 def _call_entry(entry, x_pts, y):
-    if entry == "fit_thetas":
-        fit_thetas(x_pts, [y], FitOptions(restarts=1))
+    if entry == "fit_theta":
+        fit_theta(x_pts, y, FitOptions(restarts=1))
     elif entry == "fit_fixed":
         fit_fixed(x_pts, np.ones(x_pts.shape[1]), y, DEFAULT_NUGGET)
     else:
@@ -234,7 +233,7 @@ def _call_entry(entry, x_pts, y):
 
 
 @pytest.mark.parametrize("entry, bad", [
-    ("fit_thetas", "nan_y"), ("fit_thetas", "short_y"), ("fit_thetas", "nan_x"),
+    ("fit_theta", "nan_y"), ("fit_theta", "short_y"), ("fit_theta", "nan_x"),
     ("fit_fixed", "nan_y"), ("fit_fixed", "short_y"), ("fit_fixed", "nan_x"),
     ("IndicatorKriging", "nan_x"),
 ])
@@ -253,71 +252,61 @@ def test_bad_data_rejected_up_front(entry, bad):
 
 
 class TestBlockSearch:
-    """fit_thetas shares factorizations across datasets; every dataset must
-    still get exactly the theta of its own search."""
+    """fit_theta searches one length-scale vector for a dataset (n,) or for
+    an (n, q) block of datasets that share it."""
 
     @staticmethod
     def block_inputs():
         rng = np.random.default_rng(13)
         x_pts = rng.uniform(size=(12, 3))
         smooth = np.sin(3.0 * x_pts[:, 0]) + x_pts[:, 1] * x_pts[:, 2]
-        ys = [smooth, np.full(12, 2.5), rng.normal(size=12),
-              np.column_stack([smooth, np.cos(2.0 * x_pts[:, 2])]),
-              smooth ** 2]
-        return x_pts, ys
+        block = np.column_stack([smooth, np.cos(2.0 * x_pts[:, 2]), smooth ** 2])
+        return x_pts, block
 
-    def test_matches_one_search_per_dataset(self):
-        # includes a constant dataset (theta = 1) and an (n, q) shared block
-        x_pts, ys = self.block_inputs()
-        block = fit_thetas(x_pts, ys)
-        assert block.shape == (len(ys), 3)
-        assert np.array_equal(block[1], np.ones(3))
-        assert np.array_equal(block, [fit_theta(x_pts, y) for y in ys])
+    def test_constant_data_keep_unit_theta(self, caplog):
+        x_pts, block = self.block_inputs()
+        with caplog.at_level(logging.DEBUG, logger="kspod"):
+            for y in (np.full(12, 2.5), np.tile(block[:1], (12, 1))):
+                assert np.array_equal(fit_theta(x_pts, y), np.ones(3))
+        assert not [r for r in caplog.records if r.name == "kspod"]
 
-    @pytest.mark.parametrize("factors_kept", [0, 2])
-    def test_matches_without_reuse(self, monkeypatch, factors_kept):
-        # a budget of no factor recomputes every one; two factors of n = 12
-        # make nearly every revisit an evicted miss
-        x_pts, ys = self.block_inputs()
-        expected = fit_thetas(x_pts, ys)
-        monkeypatch.setattr(kriging, "_FACTOR_CACHE_BYTES", factors_kept * 8 * 12 * 13)
-        assert np.array_equal(fit_thetas(x_pts, ys), expected)
-
-    def test_cache_returns_recomputed_parts(self, monkeypatch):
-        # revisits under eviction, with refused thetas (-6: R near singular)
-        monkeypatch.setattr(kriging, "_FACTOR_CACHE_BYTES", 3 * 8 * 12 * 13)
-        x_pts, _ = self.block_inputs()
+    def test_block_shares_one_theta(self):
+        # the block's theta scores the summed likelihood of its columns no
+        # worse than each column's own theta or the centre start does
+        x_pts, block = self.block_inputs()
+        theta = fit_theta(x_pts, block)
+        assert theta.shape == (3,)
         diffs = kriging._sq_diffs(x_pts)
-        rng = np.random.default_rng(14)
-        log_thetas = np.vstack([rng.uniform(-2.0, 2.0, size=(5, 3)),
-                                np.full((2, 3), -6.0)])
-        log_thetas[6, 0] = -5.0
-        cache = kriging._FactorCache(diffs, DEFAULT_NUGGET)
-        for i in rng.integers(0, len(log_thetas), size=300):
-            got = cache(log_thetas[i])
-            want = kriging._theta_part(diffs, DEFAULT_NUGGET, log_thetas[i])
-            assert (got is None) == (want is None)
-            assert want is None or all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert cache.rejected > 0
-        assert cache.evaluations == 300 > cache.factorizations
+
+        def block_nll(th):
+            return _profile_nll(diffs, block, DEFAULT_NUGGET, np.log(th))
+
+        own = [fit_theta(x_pts, y) for y in block.T]
+        assert not any(np.array_equal(theta, t) for t in own)
+        assert all(block_nll(theta) <= block_nll(t) for t in own + [np.ones(3)])
 
     def test_duplicates_without_nugget(self):
         x_pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
+        y = np.column_stack([[1.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
         with pytest.raises(IllConditionedError):
-            fit_thetas(x_pts, [np.array([1.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0])],
-                       FitOptions(nugget=0.0, restarts=1))
+            fit_theta(x_pts, y, FitOptions(nugget=0.0, restarts=1))
 
-    def test_debug_record_shows_shared_factors(self, caplog):
-        x_pts, ys = self.block_inputs()
+    def test_debug_record_counts(self, caplog):
+        # one record per search; with log-theta bounds (-6, -3) the fit
+        # sits on a bound and near-flat correlations make R numerically
+        # singular, so some evaluations are refused
+        x_pts, block = self.block_inputs()
         with caplog.at_level(logging.DEBUG, logger="kspod"):
-            fit_thetas(x_pts, ys)
+            fit_theta(x_pts, block)
+            fit_theta(x_pts, block[:, 0], FitOptions(log_theta_bounds=(-6.0, -3.0)))
         records = [r for r in caplog.records if r.name == "kspod"]
-        assert len(records) == 1
-        datasets, evaluations, factorizations, rejected, on_bounds, fitted = \
-            records[0].args
-        assert (datasets, fitted) == (len(ys), 3 * (len(ys) - 1))
-        assert 0 < factorizations < evaluations
-        assert 0 <= rejected <= evaluations and 0 <= on_bounds <= fitted
+        assert len(records) == 2
+        for record in records:
+            evaluations, rejected, on_bounds, dims = record.args
+            assert dims == 3 and evaluations > 0
+            assert 0 <= rejected <= evaluations and 0 <= on_bounds <= dims
+        _, rejected, on_bounds, _ = records[1].args
+        assert rejected > 0 and on_bounds > 0
 
 
 class TestIndicatorWeights:
