@@ -67,7 +67,6 @@ from .pod import (
     rank_for_energy,
     read_basis,
     reconstruct,
-    trapezoid_weights,
     truncate,
     write_basis,
 )

@@ -38,7 +38,7 @@ from .kriging import (
     fit_indicator_theta,
     fit_theta,
 )
-from .pod import PODBasis, _time_indices, align_modes, decompose, rank_for_energy, truncate
+from .pod import _time_indices, align_modes, decompose, rank_for_energy, truncate
 from .snapshots import SnapshotSet
 
 __all__ = [
@@ -84,7 +84,7 @@ class TrainOptions:
     length-scale search, which runs once per mode on all its time-steps
     together: only the length-scale is pooled, and each (mode, time-step)
     model keeps its own mean, variance and weights. ``weight_theta`` fixes
-    the indicator-weight parameter instead of fitting it.
+    the (positive) indicator-weight parameter instead of fitting it.
     """
 
     energy_threshold: float = 0.99
@@ -109,6 +109,8 @@ class TrainOptions:
                 for c in self.cluster_filter
             )
             object.__setattr__(self, "cluster_filter", members)
+        if self.weight_theta is not None and not 0.0 < float(self.weight_theta) < np.inf:
+            raise ValueError("weight_theta must be positive and finite")
         self.fit_options  # raises ValueError on bad kriging options
 
     @property
@@ -118,26 +120,29 @@ class TrainOptions:
 
 @dataclass(frozen=True)
 class EmulatorModel:
-    """Trained emulator: aligned mode library plus coefficient/weight models.
+    """Trained emulator: the aligned case library and the coefficient and
+    weight models, all held as arrays.
+
+    ``library`` is one C-contiguous case-major stack (n, K + 1, J): per case
+    the K aligned modes as rows (``modes.T``), then the mean field, which is
+    absent without centering. ``eigenvalues`` (n, K) and ``coefficients``
+    (K, m, n) are the cases' retained POD eigenvalues and aligned temporal
+    coefficients. Prediction blends every library row with one product and
+    recombines with the blended mean row as the coefficient 1.
 
     The coefficient GP of mode k at time-step q, on normalized inputs, has
     length-scales ``coeff_theta[k, q]``, mean ``coeff_mu[k, q]``, variance
     ``coeff_sigma2[k, q]`` and weights ``coeff_alpha[k, q] = R^-1 (y - mu)``.
     Training repeats each mode's length-scale across time-steps; the (K, m, d)
     layout also holds the per-(mode, time-step) length-scales of older files.
-
-    Prediction reads the case library from one C-contiguous stack
-    ``_library`` of shape (n, K + 1, J), K + 1 rows per case: the K aligned
-    modes as rows (``modes.T``), then the mean field; without centering
-    there is no mean row and the shape is (n, K, J). One product with the
-    normalized weights blends every row of every case at once, and the
-    blended mean row enters the recombination as the coefficient 1.
     """
 
     design: np.ndarray        # (n, d) physical design points
     ranges: DesignRanges
     rank: int
-    mode_library: tuple       # n truncated, sign-aligned PODBasis
+    library: np.ndarray       # (n, K [+ 1], J) modes as rows, then the mean
+    eigenvalues: np.ndarray   # (n, K)
+    coefficients: np.ndarray  # (K, m, n)
     coeff_theta: np.ndarray   # (K, m, d)
     coeff_mu: np.ndarray      # (K, m)
     coeff_sigma2: np.ndarray  # (K, m)
@@ -156,15 +161,7 @@ class EmulatorModel:
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         unit = self.ranges.normalize(design)
-        k_rank = self.rank
-        library = np.empty((len(self.mode_library), k_rank + self.centering,
-                            self.num_points))
-        for rows, basis in zip(library, self.mode_library):
-            rows[:k_rank] = basis.modes.T
-            if self.centering:
-                rows[k_rank] = basis.mean_field
         object.__setattr__(self, "_design_unit", unit)
-        object.__setattr__(self, "_library", library)
         object.__setattr__(self, "_indicator", IndicatorKriging(unit, self.weight_params))
 
     @property
@@ -271,8 +268,13 @@ def _assemble(design, bases, ref_case: SnapshotSet,
     # one length-scale per mode, from the (n, m) block of all its time-steps
     theta = np.repeat([[fit_theta(unit, coeff_tensor[:, :, k], options.fit_options)]
                        for k in range(k_rank)], coeff_tensor.shape[1], axis=1)
-    mu, sigma2, alpha = fit_fixed(unit, theta, coeff_tensor.transpose(2, 1, 0),
-                                  options.nugget)
+    coefficients = np.ascontiguousarray(coeff_tensor.transpose(2, 1, 0))
+    mu, sigma2, alpha = fit_fixed(unit, theta, coefficients, options.nugget)
+    library = np.empty((len(aligned), k_rank + options.centering, ref_case.num_points))
+    for rows, basis in zip(library, aligned):
+        rows[:k_rank] = basis.modes.T
+        if options.centering:
+            rows[k_rank] = basis.mean_field
 
     theta_w = options.weight_theta
     if theta_w is None:
@@ -297,7 +299,9 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         design=design,
         ranges=ranges,
         rank=k_rank,
-        mode_library=tuple(aligned),
+        library=library,
+        eigenvalues=np.stack([b.eigenvalues for b in aligned]),
+        coefficients=coefficients,
         coeff_theta=theta,
         coeff_mu=mu,
         coeff_sigma2=sigma2,
@@ -349,7 +353,7 @@ def nw_weights(model: EmulatorModel, x_new, theta: float) -> WeightVector:
 
 def _blend(model: EmulatorModel, w: np.ndarray) -> np.ndarray:
     """Weighted sum over cases of every library row, (K [+ 1], J)."""
-    library = model._library
+    library = model.library
     return (w @ library.reshape(library.shape[0], -1)).reshape(library.shape[1:])
 
 
@@ -433,12 +437,15 @@ def save_model(model: EmulatorModel, path) -> None:
     w.f64(model.grid)
     w.f64(model.times)
     w.f64(model.design)
-    for basis in model.mode_library:
-        w.f64(basis.eigenvalues)
-        w.f64(basis.modes, order="F")
-        w.f64(basis.coeffs, order="F")
-        if model.centering:
-            w.f64(basis.mean_field)
+    # per case: eigenvalues, modes (J x K) and coefficients (m x K), both
+    # column-major, then the mean field when centered
+    library = model.library
+    w.f64(np.concatenate((
+        model.eigenvalues,
+        library[:, :k_rank].reshape(n, -1),
+        model.coefficients.transpose(2, 0, 1).reshape(n, -1),
+        library[:, k_rank:].reshape(n, -1),
+    ), axis=1))
     w.f64(model.coeff_theta)
     w.f64(model.coeff_mu)
     w.f64(model.coeff_sigma2)
@@ -465,20 +472,15 @@ def load_model(path) -> EmulatorModel:
     # per case: eigenvalues (K), modes (J x K) and coefficients (m x K), both
     # column-major, then the mean field (J) when centered
     modes_at, coeffs_at, mean_at = k_rank, k_rank * (1 + j), k_rank * (1 + j + m)
-    cases = [r.f64(mean_at + (j if centering else 0)) for _ in range(n)]
-    library = [
-        PODBasis(case[modes_at:coeffs_at].reshape((j, k_rank), order="F"),
-                 case[coeffs_at:mean_at].reshape((m, k_rank), order="F"),
-                 case[:modes_at], np.ones(j), case[mean_at:] if centering else None)
-        for case in cases
-    ]
+    stride = mean_at + (j if centering else 0)
+    cases = r.f64(n * stride, shape=(n, stride))
     theta = r.f64(k_rank * m * d, shape=(k_rank, m, d))
     mu = r.f64(k_rank * m, shape=(k_rank, m))
     sigma2 = r.f64(k_rank * m, shape=(k_rank, m))
     r.finish()
     del r  # release the file bytes before the solves below
 
-    for arr in (grid, times, design, theta, mu, sigma2, *cases):
+    for arr in (grid, times, design, theta, mu, sigma2, cases):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteDataError(f"{path}: payload contains non-finite values")
     if np.any(theta <= 0.0) or not 0.0 <= nugget < np.inf:
@@ -487,9 +489,9 @@ def load_model(path) -> EmulatorModel:
             "nugget finite and nonnegative"
         )
 
-    coeff_tensor = np.stack([b.coeffs for b in library], axis=0)
-    _, _, alpha = fit_fixed(ranges.normalize(design), theta,
-                            coeff_tensor.transpose(2, 1, 0), nugget, mu)
+    coefficients = np.ascontiguousarray(
+        cases[:, coeffs_at:mean_at].reshape(n, k_rank, m).transpose(1, 2, 0))
+    _, _, alpha = fit_fixed(ranges.normalize(design), theta, coefficients, nugget, mu)
 
     record = {
         "energy_threshold": None if np.isnan(thr) else float(thr),
@@ -505,7 +507,10 @@ def load_model(path) -> EmulatorModel:
         design=design,
         ranges=ranges,
         rank=int(k_rank),
-        mode_library=tuple(library),
+        library=np.concatenate((cases[:, modes_at:coeffs_at], cases[:, mean_at:]),
+                               axis=1).reshape(n, k_rank + centering, j),
+        eigenvalues=cases[:, :modes_at].copy(),
+        coefficients=coefficients,
         coeff_theta=theta,
         coeff_mu=mu,
         coeff_sigma2=sigma2,

@@ -7,8 +7,9 @@ serves a single dataset or a block of datasets on the same inputs: the
 block shares one length-scale vector, while each dataset keeps its own
 mean and variance. Every correlation matrix is factorized by one LAPACK
 Cholesky helper, and the search and the closed-form fit at fixed
-length-scales, which keeps many models on the same inputs as arrays, share
-one least-squares step. Prediction is the closed-form conditional mean.
+length-scales share one least-squares step; the fit factorizes each
+distinct length-scale once and solves its datasets as one block.
+Prediction is the closed-form conditional mean.
 Indicator-vector kriging with one shared isotropic parameter provides
 per-case blending weights whose raw values sum to one identically.
 """
@@ -194,12 +195,12 @@ def _mean_weights(factor):
     return u, u @ ones
 
 
-def _gls(factor, y, weights=None, mu=None):
+def _gls(factor, y, mu=None):
     """Generalized least squares of y (n,) or (n, q) on the factor of R: the
-    mean mu = u'y / 1'u unless given (``weights`` = (u, 1'u) as from
-    _mean_weights), the residual y - mu and alpha = R^-1 (y - mu)."""
+    mean mu = u'y / 1'u unless given, the residual y - mu and
+    alpha = R^-1 (y - mu)."""
     if mu is None:
-        u, one_u = _mean_weights(factor) if weights is None else weights
+        u, one_u = _mean_weights(factor)
         mu = (u @ y) / one_u
     resid = y - mu
     return mu, resid, dpotrs(factor, resid, lower=1)[0]
@@ -355,31 +356,33 @@ def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
     """Closed-form ordinary-kriging fit at fixed length-scales.
 
     ``theta`` (..., d) and ``y`` (..., n) stack datasets on the shared input
-    rows ``x_pts`` (n, d), one per leading index. Each dataset is solved on
-    its own, and a correlation factor is reused while consecutive theta rows
-    (in C order) are equal, so a theta shared across time-steps is
-    factorized once per mode. Returns the generalized-least-squares mean mu
-    (...), the variance estimate sigma2 (...) and alpha = R^-1 (y - mu)
-    (..., n). A given ``mu`` (one read back from a file) is used as is, so
-    alpha is rebuilt exactly. Non-finite or mis-sized data raise ValueError.
+    rows ``x_pts`` (n, d), one per leading index. Each run of equal
+    consecutive theta rows (in C order) is factorized once and its datasets
+    solved as one (n, q) block; each dataset's mean is its own dot product,
+    so it is fitted exactly as on its own. Returns the generalized-least-
+    squares mean mu (...), the variance estimate sigma2 (...) and
+    alpha = R^-1 (y - mu) (..., n). A given ``mu`` (one read back from a
+    file) is used as is, so alpha is rebuilt exactly. Non-finite or
+    mis-sized data raise ValueError.
     """
     x_pts, (y,) = _checked(x_pts, [y], axis=-1)
     (n, d), lead = x_pts.shape, y.shape[:-1]
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), lead + (d,))
-    mu = None if mu is None else np.asarray(mu, dtype=float)
-    rows = theta.reshape(-1, d)
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    rows = np.broadcast_to(np.asarray(theta, dtype=float), lead + (d,)).reshape(-1, d)
+    ys = y.reshape(-1, n)
+    mu_out = np.empty(len(rows)) if mu is None else \
+        np.array(np.broadcast_to(mu, lead), dtype=float).ravel()
+    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
     diffs = _sq_diffs(x_pts)
-    mu_out, sigma2, alpha = np.empty(lead), np.empty(lead), np.empty(y.shape)
-    for new_factor, i in zip(fresh, np.ndindex(lead)):
-        if new_factor:
-            factor = _cholesky_or_raise(diffs, theta[i], nugget)
-            weights = _mean_weights(factor) if mu is None else None
-        mu_out[i], resid, alpha[i] = _gls(factor, y[i], weights,
-                                          None if mu is None else mu[i])
-        sigma2[i] = max((resid @ alpha[i]) / n, 0.0)
-    return mu_out, sigma2, alpha
+    sigma2, alpha = np.empty(len(rows)), np.empty(ys.shape)
+    for lo, hi in zip(starts, np.r_[starts[1:], len(rows)]):
+        factor = _cholesky_or_raise(diffs, rows[lo], nugget)
+        if mu is None:
+            u, one_u = _mean_weights(factor)
+            mu_out[lo:hi] = np.einsum("n,qn->q", u, ys[lo:hi]) / one_u
+        _, resid, block = _gls(factor, ys[lo:hi].T, mu_out[lo:hi])
+        alpha[lo:hi] = block.T
+        sigma2[lo:hi] = np.maximum(np.einsum("nq,nq->q", resid, block) / n, 0.0)
+    return mu_out.reshape(lead), sigma2.reshape(lead), alpha.reshape(y.shape)
 
 
 def _build_model(x_pts, y, params: CorrelationParams) -> KrigingModel:

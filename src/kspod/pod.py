@@ -12,7 +12,7 @@ import numpy as np
 
 from ._binio import MAX_ELEMENTS, Reader, Writer
 from .errors import DimensionOverflowError, NonFiniteDataError
-from .snapshots import SnapshotSet, structured_axes
+from .snapshots import SnapshotSet
 
 __all__ = [
     "PODBasis",
@@ -21,7 +21,6 @@ __all__ = [
     "rank_for_energy",
     "read_basis",
     "reconstruct",
-    "trapezoid_weights",
     "truncate",
     "write_basis",
 ]
@@ -104,22 +103,6 @@ class PODBasis:
     @property
     def centered(self) -> bool:
         return self.mean_field is not None
-
-
-def trapezoid_weights(grid) -> np.ndarray:
-    """Trapezoidal cell-area quadrature weights for a structured grid."""
-    xs, rs, ix, ir = structured_axes(np.asarray(grid, dtype=float))
-
-    def axis_weights(axis):
-        if axis.size == 1:
-            return np.ones(1)
-        w = np.empty(axis.size)
-        w[0] = (axis[1] - axis[0]) / 2.0
-        w[-1] = (axis[-1] - axis[-2]) / 2.0
-        w[1:-1] = (axis[2:] - axis[:-2]) / 2.0
-        return w
-
-    return axis_weights(xs)[ix] * axis_weights(rs)[ir]
 
 
 def decompose(snapshots, centering: bool = True, weights=None) -> PODBasis:

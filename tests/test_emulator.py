@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from kspod.kriging import CorrelationParams, FitOptions, fit_fixed, fit_theta, i
 from kspod.pod import PODBasis, decompose, reconstruct, truncate
 from kspod.snapshots import SnapshotSet
 from test_kriging import dense_predict
+
+DATA = Path(__file__).parent / "data"
 
 
 def analytic_case(amp1, amp2, design, case_id, m=16):
@@ -64,8 +67,7 @@ class TestTrain:
             analytic_case(2.0, 1.0, [0.9], "b"),
         ]
         model = train(cases, TrainOptions(energy_threshold=1.0, centering=False))
-        lib = model.mode_library
-        assert np.array_equal(lib[0].modes, lib[1].modes)
+        assert np.array_equal(model.library[0], model.library[1])
 
     def test_incompatible_grids(self):
         a = analytic_case(2.0, 1.0, [0.1], "a")
@@ -217,7 +219,7 @@ class TestPrediction:
     def test_modes_at_training_design(self, small_model):
         for i in (1, 5):
             phi = predict_modes(small_model, small_model.design[i])
-            lib = small_model.mode_library[i].modes
+            lib = small_model.library[i, :small_model.rank].T
             rel = np.linalg.norm(phi - lib) / np.linalg.norm(lib)
             assert rel < 1e-6
 
@@ -228,8 +230,7 @@ class TestPrediction:
         ]
         model = train(cases, TrainOptions(centering=False, num_modes=1))
         phi = predict_modes(model, [0.5])
-        lib = model.mode_library
-        expected = 0.5 * (lib[0].modes + lib[1].modes)
+        expected = 0.5 * (model.library[0] + model.library[1]).T
         assert np.allclose(phi, expected, atol=1e-10)
 
     def test_identical_modes_returned_exactly(self):
@@ -239,21 +240,21 @@ class TestPrediction:
             analytic_case(2.0, 1.0, [0.9], "c"),
         ]
         model = train(cases, TrainOptions(centering=False, num_modes=2))
-        lib = model.mode_library[0].modes
+        lib = model.library[0].T
         for probe in ([0.3], [0.7], [1.2]):
             assert np.allclose(predict_modes(model, probe), lib, atol=1e-9)
 
     def test_coefficients_at_training_design(self, small_model):
         i = 2
         beta = predict_coefficients(small_model, small_model.design[i])
-        expected = small_model.mode_library[i].coeffs.T
+        expected = small_model.coefficients[..., i]
         scale = np.abs(expected).max()
         assert np.abs(beta - expected).max() < 1e-5 * scale
 
     def test_coefficients_match_dense_solve(self, small_model, desk_setup):
         model = small_model
         unit = model.ranges.normalize(model.design)
-        coeffs = np.stack([b.coeffs for b in model.mode_library])  # (n, m, K)
+        coeffs = model.coefficients.T  # (n, m, K)
         nugget = model.options_record["nugget"]
         x_new = desk_setup["ranges"].scale(np.array([0.41, 0.63, 0.28]))
         xu = model.ranges.normalize(x_new)
@@ -280,7 +281,7 @@ class TestPrediction:
             for i in range(3)
         ]
         model = train(cases, TrainOptions(centering=True, num_modes=2))
-        expected = model.mode_library[0].coeffs.T
+        expected = model.coefficients[..., 0]
         for probe in ([0.35], [0.61]):
             beta = predict_coefficients(model, probe)
             assert np.abs(beta - expected).max() < 1e-8
@@ -343,7 +344,7 @@ class TestPrediction:
         expected = modes @ predict_coefficients(model, x, indices)
         if model.centering:
             w = weight_vector(model, x).normalized
-            expected += (w @ np.stack([b.mean_field for b in model.mode_library]))[:, None]
+            expected += (w @ model.library[:, -1])[:, None]
         fld = predict_field(model, x, indices)
         count = model.num_snapshots if indices is None else len(indices)
         assert fld.shape == (model.num_points, count)
@@ -392,10 +393,12 @@ class TestOptions:
         # one theta per mode, searched on the (n, m) block of all its
         # time-steps and shared across them
         unit = model.ranges.normalize(model.design)
-        coeffs = np.stack([b.coeffs for b in model.mode_library])
         for k, row in enumerate(model.coeff_theta):
             assert np.array_equal(row, np.broadcast_to(row[0], row.shape))
-            assert np.array_equal(row[0], fit_theta(unit, coeffs[:, :, k]))
+            # row-contiguous like the block training searches: the search's
+            # tie-breaks follow the rounding of its products
+            block = np.ascontiguousarray(model.coefficients[k].T)
+            assert np.array_equal(row[0], fit_theta(unit, block))
         case = small_cases[2]
         basis = decompose(case)
         target = reconstruct(truncate(basis, num_modes=2))
@@ -414,6 +417,9 @@ class TestOptions:
             TrainOptions(energy_threshold=1.5)
         with pytest.raises(ValueError):
             TrainOptions(num_modes=0)
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                TrainOptions(weight_theta=bad)
         for bad in ({"restarts": 0}, {"nugget": -1e-3},
                     {"log_theta_bounds": (3.0, -3.0)}):
             with pytest.raises(ValueError):
@@ -441,7 +447,7 @@ class TestSerialization:
         # a file whose theta was searched per (mode, time-step), as older
         # writers stored it: the header's eighth word is 0 and must survive
         unit = small_model.ranges.normalize(small_model.design)
-        coeffs = np.stack([b.coeffs for b in small_model.mode_library]).transpose(2, 1, 0)
+        coeffs = small_model.coefficients
         theta = np.array([[fit_theta(unit, y) for y in mode] for mode in coeffs])
         assert not np.array_equal(theta, np.broadcast_to(theta[:, :1], theta.shape))
         nugget = small_model.options_record["nugget"]
@@ -460,6 +466,37 @@ class TestSerialization:
         assert np.array_equal(predict_field(loaded, probe), predict_field(per_step, probe))
         save_model(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("name", ["centered", "uncentered"])
+    def test_golden_file_layout(self, name, tmp_path):
+        # small KSEM1 files kept as written (4 cases, 12 points, 6 steps):
+        # they re-save byte for byte, and case 0 read straight from the file
+        # at the offsets the layout implies equals the loaded arrays
+        path = DATA / f"ksem1_{name}.ksem"
+        data = path.read_bytes()
+        model = load_model(path)
+        save_model(model, tmp_path / "again.ksem")
+        assert (tmp_path / "again.ksem").read_bytes() == data
+        n, d, j, m, k_rank, flags = struct.unpack_from("<6Q", data, 6)
+        assert k_rank >= 2 and bool(flags & 1) == model.centering
+        assert model.library.shape == (n, k_rank + model.centering, j)
+        assert model.library.flags.c_contiguous
+        # magic, nine header words, five scalars, ranges, grid, times, design
+        at = 6 + 9 * 8 + 5 * 8 + 8 * (2 * d + 2 * j + m + n * d)
+
+        def take(count):
+            nonlocal at
+            arr = np.frombuffer(data, "<f8", count, at)
+            at += 8 * count
+            return arr
+
+        assert np.array_equal(take(k_rank), model.eigenvalues[0])
+        modes = take(j * k_rank).reshape((j, k_rank), order="F")
+        assert np.array_equal(modes, model.library[0, :k_rank].T)
+        coeffs = take(m * k_rank).reshape((m, k_rank), order="F")
+        assert np.array_equal(coeffs, model.coefficients[..., 0].T)
+        if model.centering:
+            assert np.array_equal(take(j), model.library[0, k_rank])
 
     def test_options_record_survives(self, small_model, tmp_path):
         path = tmp_path / "model.ksem"

@@ -195,20 +195,29 @@ class TestCholeskyPath:
 
     def test_repeated_theta_factorized_once(self, monkeypatch):
         # theta shared across the time-steps of each mode: one factorization
-        # per mode, and every system still solved exactly as on its own
+        # and one block solve per run of equal rows, and every system still
+        # solved exactly as on its own
         rng = np.random.default_rng(17)
         x_pts = rng.uniform(size=(10, 2))
         theta = np.repeat(np.exp(rng.uniform(-1.0, 2.0, size=(3, 1, 2))), 4, axis=1)
         theta[2, 2:] = theta[0, 0]  # equal rows count only when consecutive
         y = rng.normal(size=(3, 4, 10))
-        calls = []
-        real = kriging._cholesky
-        monkeypatch.setattr(kriging, "_cholesky",
-                            lambda *args: calls.append(1) or real(*args))
+        calls = {"factor": 0, "solve": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(kriging, "_cholesky", counted("factor", kriging._cholesky))
+        monkeypatch.setattr(kriging, "dpotrs", counted("solve", kriging.dpotrs))
         mu, sigma2, alpha = fit_fixed(x_pts, theta, y, DEFAULT_NUGGET)
-        assert len(calls) == 4
+        # four runs, each with its mean-weight solve and one block solve
+        assert calls == {"factor": 4, "solve": 8}
         assert np.array_equal(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, mu)[2], alpha)
-        assert len(calls) == 8
+        # a given mu needs no mean weights
+        assert calls == {"factor": 8, "solve": 12}
         for i in np.ndindex(3, 4):
             one = fit_fixed(x_pts, theta[i], y[i], DEFAULT_NUGGET)
             assert all(np.array_equal(a, b[i]) for a, b in zip(one, (mu, sigma2, alpha)))

@@ -9,11 +9,9 @@ from kspod.pod import (
     rank_for_energy,
     read_basis,
     reconstruct,
-    trapezoid_weights,
     truncate,
     write_basis,
 )
-from kspod.snapshots import make_grid
 
 
 def two_mode_field(m=16):
@@ -252,12 +250,3 @@ class TestSerialization:
         path.write_bytes(bytes(data))
         with pytest.raises(NonFiniteDataError):
             read_basis(path)
-
-
-class TestTrapezoidWeights:
-    def test_uniform_grid(self):
-        grid = make_grid(4, 3, (0.0, 3.0), (0.0, 1.0))
-        w = trapezoid_weights(grid)
-        xs_w = np.array([0.5, 1.0, 1.0, 0.5])
-        rs_w = np.array([0.25, 0.5, 0.25])
-        assert np.allclose(w, np.outer(xs_w, rs_w).ravel(), atol=1e-15)
