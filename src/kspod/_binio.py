@@ -53,23 +53,24 @@ class Reader:
         self._data = data
         self._pos = 6
 
-    def _take(self, nbytes: int) -> bytes:
+    def _take(self, dtype: np.dtype, count: int) -> np.ndarray:
+        """Read-only view of the next ``count`` items of the file bytes."""
+        nbytes = dtype.itemsize * count
         end = self._pos + nbytes
         if end > len(self._data):
             raise TruncatedPayloadError(
                 f"need {nbytes} bytes at offset {self._pos}, "
                 f"file has {len(self._data)}"
             )
-        chunk = self._data[self._pos:end]
+        view = np.frombuffer(self._data, dtype, count, offset=self._pos)
         self._pos = end
-        return chunk
+        return view
 
     def u64(self, count: int):
-        vals = np.frombuffer(self._take(8 * count), dtype=_U8)
-        return [int(v) for v in vals]
+        return [int(v) for v in self._take(_U8, count)]
 
     def f64(self, count: int, shape=None, order: str = "C") -> np.ndarray:
-        arr = np.frombuffer(self._take(8 * count), dtype=_F8).astype(float)
+        arr = self._take(_F8, count).astype(float)
         if shape is not None:
             arr = arr.reshape(shape, order=order)
         return arr

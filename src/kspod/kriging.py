@@ -300,6 +300,7 @@ def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
     if n == 1 or _is_constant(y):
         return np.ones(d)
     diffs = _sq_diffs(x_pts)
+    y = np.ascontiguousarray(y)  # GLS products round by layout; theta must not
     scores = []
 
     def objective(log_theta):

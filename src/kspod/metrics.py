@@ -58,8 +58,7 @@ class GaussianKde:
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         if bandwidth is None:
-            sigma = samples.std(ddof=1) if samples.size > 1 else 0.0
-            bandwidth = 1.06 * sigma * samples.size ** (-0.2)
+            bandwidth = _silverman(samples)
         if not np.isfinite(bandwidth) or bandwidth <= 0.0:
             raise ValueError(
                 "bandwidth must be positive (supply one explicitly for "
@@ -81,6 +80,12 @@ class GaussianKde:
         return float(self.samples.min() - pad), float(self.samples.max() + pad)
 
 
+def _silverman(samples: np.ndarray) -> float:
+    """Silverman's rule 1.06 * std * n**(-1/5); zero for a single sample."""
+    sigma = samples.std(ddof=1) if samples.size > 1 else 0.0
+    return 1.06 * sigma * samples.size ** (-0.2)
+
+
 def kde(samples, bandwidth: float = None) -> GaussianKde:
     """Build a Gaussian kernel density estimate; see GaussianKde."""
     return GaussianKde(samples, bandwidth)
@@ -90,21 +95,33 @@ def _default_threshold(values: np.ndarray) -> float:
     return 0.5 * (float(values.min()) + float(values.max()))
 
 
-def _film_runs(values2d: np.ndarray, rs: np.ndarray, threshold: float):
-    """Wall-attached run lengths per axial station.
+def _film(values, grid, threshold: float, ndim: int = 2):
+    """Wall-attached film runs of a snapshot (J,) or a history (J, m).
 
-    ``values2d`` is (nx, nr[, m]) with the radial axis ascending; the run at
-    a station is the contiguous block of values >= threshold scanned inward
-    from the outermost radius. Returns the integer run lengths.
+    The one film pass behind every film quantity: it factors the grid,
+    applies the default threshold (the midpoint of the value range), scatters
+    the values onto the (nx, nr[, m]) tensor and scans every station inward
+    from the outer wall (largest radius). ``ndim`` is the number of value
+    axes the caller accepts. Returns (xs, rs, run), where run, (nx,) or
+    (nx, m), counts the contiguous points with value >= threshold that start
+    at the wall.
     """
-    above = values2d >= threshold
-    from_wall = np.flip(above, axis=1)
-    gaps = ~from_wall
-    run = np.where(gaps.any(axis=1), gaps.argmax(axis=1), rs.size)
-    return run
+    values = np.asarray(values, dtype=float)
+    xs, rs, ix, ir = structured_axes(grid)
+    if values.ndim != ndim or values.shape[0] != ix.size:
+        raise ValueError("snapshot length does not match the grid")
+    if threshold is None:
+        threshold = _default_threshold(values)
+    if not np.isfinite(threshold):
+        raise ValueError("threshold must be finite")
+    val = np.empty((xs.size, rs.size) + values.shape[1:])
+    val[ix, ir] = values
+    gaps = ~np.flip(val >= threshold, axis=1)
+    return xs, rs, np.where(gaps.any(axis=1), gaps.argmax(axis=1), rs.size)
 
 
-def _thickness_from_runs(run: np.ndarray, rs: np.ndarray) -> np.ndarray:
+def _thickness(run: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """Radial extent of each film run; zero where there is no run."""
     inner = rs[np.clip(rs.size - run, 0, rs.size - 1)]
     return np.where(run > 0, rs[-1] - inner, 0.0)
 
@@ -119,18 +136,8 @@ def film_thickness_profile(values, grid, threshold: float = None):
 
     Returns (stations, thickness) arrays.
     """
-    values = np.asarray(values, dtype=float)
-    xs, rs, ix, ir = structured_axes(np.asarray(grid, dtype=float))
-    if values.shape != (ix.size,):
-        raise ValueError("snapshot length does not match the grid")
-    if threshold is None:
-        threshold = _default_threshold(values)
-    if not np.isfinite(threshold):
-        raise ValueError("threshold must be finite")
-    val2d = np.empty((xs.size, rs.size))
-    val2d[ix, ir] = values
-    run = _film_runs(val2d, rs, threshold)
-    return xs, _thickness_from_runs(run, rs)
+    xs, rs, run = _film(values, grid, threshold, ndim=1)
+    return xs, _thickness(run, rs)
 
 
 def _station_index(xs: np.ndarray, station: float) -> int:
@@ -141,6 +148,25 @@ def _station_index(xs: np.ndarray, station: float) -> int:
     return int(hits[0])
 
 
+def _angles(xs, rs, run, station_pair) -> np.ndarray:
+    """Spreading angle (deg) of every snapshot's film runs ``run``.
+
+    The final arc tangent is libm's ``math.atan2`` per snapshot, so the
+    angles do not depend on the SIMD path of ``np.arctan2``.
+    """
+    x1, x2 = station_pair
+    if x2 <= x1:
+        raise ValueError("stations must satisfy x2 > x1")
+    mids = []
+    for station in (x1, x2):
+        at = run[_station_index(xs, station)]
+        if np.any(at < 1):
+            raise NoFilmError(f"no film band at station x={station}")
+        mids.append(0.5 * (rs[-1] + rs[rs.size - at]))
+    rise = np.atleast_1d(mids[1] - mids[0])
+    return np.array([math.degrees(math.atan2(dr, x2 - x1)) for dr in rise])
+
+
 def spreading_angle(values, grid, station_pair, threshold: float = None) -> float:
     """Cone angle (deg) of the film mid-surface between two axial stations.
 
@@ -148,27 +174,8 @@ def spreading_angle(values, grid, station_pair, threshold: float = None) -> floa
     wall-attached band; the angle is the arc tangent of its slope between
     the two stations.
     """
-    x1, x2 = station_pair
-    if x2 <= x1:
-        raise ValueError("stations must satisfy x2 > x1")
-    values = np.asarray(values, dtype=float)
-    xs, rs, ix, ir = structured_axes(np.asarray(grid, dtype=float))
-    if values.shape != (ix.size,):
-        raise ValueError("snapshot length does not match the grid")
-    if threshold is None:
-        threshold = _default_threshold(values)
-    val2d = np.empty((xs.size, rs.size))
-    val2d[ix, ir] = values
-    run = _film_runs(val2d, rs, threshold)
-
-    mids = []
-    for station in (x1, x2):
-        i = _station_index(xs, station)
-        if run[i] < 1:
-            raise NoFilmError(f"no film band at station x={station}")
-        inner = rs[rs.size - run[i]]
-        mids.append(0.5 * (rs[-1] + inner))
-    return math.degrees(math.atan2(mids[1] - mids[0], x2 - x1))
+    xs, rs, run = _film(values, grid, threshold, ndim=1)
+    return float(_angles(xs, rs, run, station_pair)[0])
 
 
 def dominant_frequency(series, dt):
@@ -213,14 +220,29 @@ class AxialErrorProfile:
     excluded_stations: np.ndarray
 
 
-def _thickness_history(ss: SnapshotSet, threshold: float) -> np.ndarray:
-    """(nx, m) thickness at every station and snapshot."""
-    xs, rs, ix, ir = structured_axes(ss.grid)
-    val = np.empty((xs.size, rs.size, ss.num_snapshots))
-    val[ix, ir, :] = ss.field
-    run = _film_runs(val, rs, threshold)
-    inner = rs[np.clip(rs.size - run, 0, rs.size - 1)]
-    return np.where(run > 0, rs[-1] - inner, 0.0)
+def _film_pair(sim: SnapshotSet, emu: SnapshotSet, threshold: float):
+    """Film runs of a simulated and an emulated set on the same grid and
+    times, both cut at one threshold (default: the midpoint of the
+    simulated set's global value range)."""
+    if sim.grid.tobytes() != emu.grid.tobytes() or \
+            sim.times.tobytes() != emu.times.tobytes():
+        raise ValueError("simulation and emulation grids/times differ")
+    if threshold is None:
+        threshold = _default_threshold(sim.field)
+    xs, rs, run_sim = _film(sim.field, sim.grid, threshold)
+    _, _, run_emu = _film(emu.field, emu.grid, threshold)
+    return xs, rs, run_sim, run_emu
+
+
+def _axial_profile(xs, rs, run_sim, run_emu) -> AxialErrorProfile:
+    t_sim = _thickness(run_sim, rs).mean(axis=1)
+    t_emu = _thickness(run_emu, rs).mean(axis=1)
+    included = t_sim != 0.0
+    eps = np.full(xs.size, np.nan)
+    eps[included] = np.abs(t_sim[included] - t_emu[included]) \
+        / np.abs(t_sim[included]) * 100.0
+    mean_eps = float(eps[included].mean()) if included.any() else float("nan")
+    return AxialErrorProfile(xs, eps, mean_eps, xs[~included])
 
 
 def axial_error_profile(sim: SnapshotSet, emu: SnapshotSet,
@@ -232,22 +254,7 @@ def axial_error_profile(sim: SnapshotSet, emu: SnapshotSet,
     midpoint of the simulated set's global value range, applied to both
     inputs.
     """
-    if sim.grid.tobytes() != emu.grid.tobytes() or \
-            sim.times.tobytes() != emu.times.tobytes():
-        raise ValueError("simulation and emulation grids/times differ")
-    if threshold is None:
-        threshold = _default_threshold(sim.field)
-
-    xs, _, _, _ = structured_axes(sim.grid)
-    t_sim = _thickness_history(sim, threshold).mean(axis=1)
-    t_emu = _thickness_history(emu, threshold).mean(axis=1)
-
-    included = t_sim != 0.0
-    eps = np.full(xs.size, np.nan)
-    eps[included] = np.abs(t_sim[included] - t_emu[included]) \
-        / np.abs(t_sim[included]) * 100.0
-    mean_eps = float(eps[included].mean()) if included.any() else float("nan")
-    return AxialErrorProfile(xs, eps, mean_eps, xs[~included])
+    return _axial_profile(*_film_pair(sim, emu, threshold))
 
 
 def qoi_series(ss: SnapshotSet, kind: str, threshold: float = None,
@@ -259,24 +266,14 @@ def qoi_series(ss: SnapshotSet, kind: str, threshold: float = None,
     to the midpoint of the set's global value range, is used for every
     snapshot.
     """
-    if threshold is None:
-        threshold = _default_threshold(ss.field)
-    xs, rs, ix, ir = structured_axes(ss.grid)
-
+    xs, rs, run = _film(ss.field, ss.grid, threshold)
     if kind == "thickness":
-        target = xs[-1] if station is None else station
-        i = _station_index(xs, target)
-        hist = _thickness_history(ss, threshold)
-        return hist[i, :].copy()
+        i = -1 if station is None else _station_index(xs, station)
+        return _thickness(run[i], rs)
     if kind == "angle":
         if station_pair is None:
             raise ValueError("angle series requires a station_pair")
-        out = np.empty(ss.num_snapshots)
-        for q in range(ss.num_snapshots):
-            out[q] = spreading_angle(
-                ss.field[:, q], ss.grid, station_pair, threshold
-            )
-        return out
+        return _angles(xs, rs, run, station_pair)
     raise ValueError(f"unknown quantity kind {kind!r}")
 
 
@@ -308,27 +305,19 @@ def evaluation_report(sim: SnapshotSet, emu: SnapshotSet,
     share one bandwidth (resolved from the simulated thickness series when
     automatic) and one evaluation grid.
     """
-    if sim.grid.tobytes() != emu.grid.tobytes() or \
-            sim.times.tobytes() != emu.times.tobytes():
-        raise ValueError("simulation and emulation grids/times differ")
-    if threshold is None:
-        threshold = _default_threshold(sim.field)
-    xs, _, _, _ = structured_axes(sim.grid)
+    xs, rs, run_sim, run_emu = _film_pair(sim, emu, threshold)
     if station_pair is None:
         station_pair = _default_station_pair(xs)
 
-    angle_sim = qoi_series(sim, "angle", threshold, station_pair=station_pair)
-    angle_emu = qoi_series(emu, "angle", threshold, station_pair=station_pair)
-    thick_sim = qoi_series(sim, "thickness", threshold)
-    thick_emu = qoi_series(emu, "thickness", threshold)
-
-    axial = axial_error_profile(sim, emu, threshold)
+    angle_sim = _angles(xs, rs, run_sim, station_pair)
+    angle_emu = _angles(xs, rs, run_emu, station_pair)
+    thick_sim = _thickness(run_sim[-1], rs)
+    thick_emu = _thickness(run_emu[-1], rs)
+    axial = _axial_profile(xs, rs, run_sim, run_emu)
 
     if bandwidth is None:
-        sigma = thick_sim.std(ddof=1) if thick_sim.size > 1 else 0.0
-        if sigma > 0.0:
-            bandwidth = 1.06 * sigma * thick_sim.size ** (-0.2)
-        else:
+        bandwidth = _silverman(thick_sim)
+        if bandwidth == 0.0:
             # constant series carry no automatic bandwidth; pick a small one
             # relative to the value scale so the report stays well defined
             bandwidth = max(0.05 * abs(float(thick_sim.mean())), 1e-6)

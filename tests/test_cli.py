@@ -7,7 +7,7 @@ import pytest
 
 import kspod.cli as cli
 from kspod.design import read_design_csv
-from kspod.snapshots import read_dataset
+from kspod.snapshots import SnapshotSet, make_grid, make_times, read_dataset, write_dataset
 
 
 def small_config(base: Path, **overrides) -> Path:
@@ -82,6 +82,19 @@ class TestEvalErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("kspod:") and err.strip()
+
+    def test_non_finite_threshold_exit_one(self, tmp_path, capsys):
+        grid = make_grid(4, 5, (0.0, 5.0), (0.0, 2.0))
+        field = np.repeat(np.where(grid[:, 1:] >= 1.0, 1000.0, 100.0), 3, axis=1)
+        sim = tmp_path / "sim.kspd"
+        write_dataset(SnapshotSet("sim", [1.0], grid, make_times(3, 1e-3), field), sim)
+        code = cli.main([
+            "eval", "--sim", str(sim), "--emu", str(sim), "--threshold", "nan",
+            "--bandwidth", "0.05", "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == "kspod: threshold must be finite"
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestStepwiseCommands:

@@ -300,6 +300,19 @@ class TestBlockSearch:
         with pytest.raises(IllConditionedError):
             fit_theta(x_pts, y, FitOptions(nugget=0.0, restarts=1))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_theta_independent_of_memory_layout(self, layout):
+        # the same (n, q) values give the same theta, bit for bit, whether
+        # they are row-major, column-major or a strided slice of a larger
+        # array (as a mode's block of an (n, m, K) coefficient tensor is)
+        x_pts, block = self.block_inputs()
+        wide = np.zeros(block.shape + (3,))
+        wide[:, :, 1] = block
+        given = {"C": np.ascontiguousarray(block), "F": np.asfortranarray(block),
+                 "strided": wide[:, :, 1]}[layout]
+        assert np.array_equal(fit_theta(x_pts, given),
+                              fit_theta(x_pts, np.ascontiguousarray(block)))
+
     def test_debug_record_counts(self, caplog):
         # one record per search; with log-theta bounds (-6, -3) the fit
         # sits on a bound and near-flat correlations make R numerically

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
+from kspod import metrics
 from kspod.errors import NoFilmError, UndefinedBaselineError, UnsupportedGridError
 from kspod.metrics import (
     axial_error_profile,
@@ -71,7 +75,7 @@ class TestKde:
         density = kde(samples)
         lo, hi = density.support(6.0)
         xs = np.linspace(lo, hi, 4001)
-        integral = np.trapezoid(density(xs), xs)
+        integral = trapezoid(density(xs), xs)
         assert integral == pytest.approx(1.0, abs=1e-3)
 
     def test_silverman_bandwidth(self):
@@ -303,3 +307,88 @@ class TestQoiSeriesAndReport:
         sim, emu = thickness_sets(3.0, 2.95)
         assert time_averaged_l2_error(sim, sim) == 0.0
         assert time_averaged_l2_error(sim, emu) > 0.0
+
+
+def moving_film_set(m=5):
+    """Set whose wall band thins downstream and grows in time, so thickness
+    and spreading angle change with both station and snapshot."""
+    grid = make_grid(6, 9, (0.0, 5.0), (0.0, 4.0))
+    times = make_times(m, 1e-3)
+    inner = 3.2 - 0.15 * grid[:, :1] * (1.0 + np.arange(m))
+    fld = np.where(grid[:, 1:] >= np.clip(inner, 0.4, None), 1000.0, 100.0)
+    return SnapshotSet("moving", [1.0], grid, times, fld)
+
+
+def wall_band_inner(values, grid, threshold, station):
+    """Reference loop: inner radius of the band of values >= threshold that
+    touches the wall (largest radius) at one station, or None."""
+    column = sorted((r, v) for (x, r), v in zip(grid, values) if x == station)
+    inner = None
+    for r, v in reversed(column):
+        if v < threshold:
+            break
+        inner = r
+    return inner
+
+
+class TestFilmPass:
+    """Every film quantity comes from one pass over each snapshot set."""
+
+    def test_series_match_reference_loop(self):
+        # the history path and the single-snapshot functions both give each
+        # snapshot's value bit for bit as a point-by-point scan would
+        ss = moving_film_set()
+        xs, rs = np.unique(ss.grid[:, 0]), np.unique(ss.grid[:, 1])
+        pair = (xs[1], xs[4])
+        angles = qoi_series(ss, "angle", 550.0, station_pair=pair)
+        exits = qoi_series(ss, "thickness", 550.0)
+        mids = qoi_series(ss, "thickness", 550.0, station=xs[2])
+        for q in range(ss.num_snapshots):
+            snap = ss.field[:, q]
+            inner = {x: wall_band_inner(snap, ss.grid, 550.0, x) for x in xs}
+            radii = [0.5 * (rs[-1] + inner[x]) for x in pair]
+            angle = math.degrees(math.atan2(radii[1] - radii[0], pair[1] - pair[0]))
+            assert angles[q] == angle == spreading_angle(snap, ss.grid, pair, 550.0)
+            thickness = [0.0 if inner[x] is None else rs[-1] - inner[x] for x in xs]
+            _, profile = film_thickness_profile(snap, ss.grid, 550.0)
+            assert profile.tolist() == thickness
+            assert exits[q] == thickness[-1] and mids[q] == thickness[2]
+        assert np.unique(angles).size > 1 and np.unique(exits).size > 1
+
+    def test_angle_series_names_the_station_without_film(self):
+        ss = moving_film_set()
+        xs = np.unique(ss.grid[:, 0])
+        fld = ss.field.copy()
+        fld[(ss.grid[:, 0] == xs[4]), 3] = 100.0  # one snapshot loses its film
+        gap = SnapshotSet("gap", ss.design, ss.grid, ss.times, fld)
+        with pytest.raises(NoFilmError, match=f"station x={xs[4]}"):
+            qoi_series(gap, "angle", 550.0, station_pair=(xs[1], xs[4]))
+
+    def test_report_factors_each_grid_once(self, monkeypatch):
+        calls = []
+        real = metrics.structured_axes
+
+        def counted(grid):
+            calls.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(metrics, "structured_axes", counted)
+        sim, emu = thickness_sets(3.0, 2.95)
+        evaluation_report(sim, emu, threshold=550.0, bandwidth=0.05)
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("quantity", ["thickness", "axial", "angle", "report"])
+    def test_non_finite_threshold_rejected(self, quantity, threshold):
+        sim, emu = thickness_sets(3.0, 2.95)
+        pair = (0.0, 5.0)
+        compute = {
+            "thickness": lambda: qoi_series(sim, "thickness", threshold),
+            "axial": lambda: axial_error_profile(sim, emu, threshold),
+            "angle": lambda: spreading_angle(sim.field[:, 0], sim.grid, pair,
+                                             threshold),
+            "report": lambda: evaluation_report(sim, emu, threshold,
+                                                bandwidth=0.05),
+        }[quantity]
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            compute()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kspod._binio import Reader, Writer
 from kspod.errors import (
     BadMagicError,
     DimensionOverflowError,
@@ -112,6 +113,26 @@ class TestContainerFormat:
         path.write_bytes(b"KSPD1\n" + np.array([0, 1, 3], dtype="<u8").tobytes())
         with pytest.raises(DimensionOverflowError):
             read_dataset(path)
+
+    def test_reader_section_is_an_owned_copy(self):
+        # each section is one copy out of the file bytes: writable, and not
+        # a view that would pin or alias the buffer
+        writer = Writer("KSPDX")
+        writer.u64(2)
+        writer.f64([1.5, -2.0])
+        data = writer.getvalue()
+        reader = Reader(data, "KSPDX")
+        assert reader.u64(1) == [2]
+        section = reader.f64(2)
+        reader.finish()
+        assert section.tolist() == [1.5, -2.0]
+        assert section.flags.writeable and section.flags.owndata
+        assert not np.shares_memory(section, np.frombuffer(data, dtype=np.uint8))
+        reader = Reader(data, "KSPDX")
+        reader.u64(1)
+        with pytest.raises(TruncatedPayloadError,
+                           match="need 24 bytes at offset 14, file has 30"):
+            reader.f64(3)
 
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "nan.kspd"
