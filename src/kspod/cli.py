@@ -10,6 +10,7 @@ configuration error.
 import argparse
 import copy
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -379,11 +380,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes a separate value that starts with "-" for an option unless it
+# is a plain number such as -5 or -0.5, so "--x -0.5,12" or "--threshold -inf"
+# would fail; such a value is attached to its option as in "--x=-0.5,12"
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv) -> list:
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if _NEGATIVE_VALUE.match(arg) and prev.startswith("--") \
+                and "=" not in prev and prev != "--help":
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run_command(argv) -> int:
     """Parse argv and execute one subcommand, returning the exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

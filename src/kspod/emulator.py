@@ -439,13 +439,12 @@ def save_model(model: EmulatorModel, path) -> None:
     w.f64(model.design)
     # per case: eigenvalues, modes (J x K) and coefficients (m x K), both
     # column-major, then the mean field when centered
-    library = model.library
-    w.f64(np.concatenate((
-        model.eigenvalues,
-        library[:, :k_rank].reshape(n, -1),
-        model.coefficients.transpose(2, 0, 1).reshape(n, -1),
-        library[:, k_rank:].reshape(n, -1),
-    ), axis=1))
+    for lam, rows, beta in zip(model.eigenvalues, model.library,
+                               model.coefficients.transpose(2, 0, 1)):
+        w.f64(lam)
+        w.f64(rows[:k_rank])
+        w.f64(beta)
+        w.f64(rows[k_rank:])
     w.f64(model.coeff_theta)
     w.f64(model.coeff_mu)
     w.f64(model.coeff_sigma2)
@@ -454,33 +453,39 @@ def save_model(model: EmulatorModel, path) -> None:
 
 def load_model(path) -> EmulatorModel:
     with open(path, "rb") as fh:
-        r = Reader(fh.read(), MAGIC)
-    n, d, j, m, k_rank, flags, restarts, shared, explicit_k = r.u64(9)
-    total = n * d + 2 * j + m + n * (k_rank + j * k_rank + m * k_rank + j) \
-        + k_rank * m * (d + 2)
-    if min(n, d, j, m, k_rank) < 1 or total > MAX_ELEMENTS:
-        raise DimensionOverflowError(f"{path}: implausible model dimensions")
-    thr, nugget, weight_theta, lb, ub = r.f64(5)
-    lower = r.f64(d)
-    upper = r.f64(d)
-    grid = r.f64(2 * j, shape=(j, 2))
-    times = r.f64(m)
-    design = r.f64(n * d, shape=(n, d))
-    centering = bool(flags & 1)
+        r = Reader(fh, MAGIC)
+        n, d, j, m, k_rank, flags, restarts, shared, explicit_k = r.u64(9)
+        total = n * d + 2 * j + m + n * (k_rank + j * k_rank + m * k_rank + j) \
+            + k_rank * m * (d + 2)
+        if min(n, d, j, m, k_rank) < 1 or total > MAX_ELEMENTS:
+            raise DimensionOverflowError(f"{path}: implausible model dimensions")
+        thr, nugget, weight_theta, lb, ub = r.f64(5)
+        lower = r.f64(d)
+        upper = r.f64(d)
+        grid = r.f64(2 * j, shape=(j, 2))
+        times = r.f64(m)
+        design = r.f64(n * d, shape=(n, d))
+        centering = bool(flags & 1)
+
+        # per case: eigenvalues (K), modes (J x K) and coefficients (m x K),
+        # both column-major, then the mean field (J) when centered; each is
+        # read straight into its place in the arrays below
+        r.check_f64(n * (k_rank * (1 + j + m) + centering * j))
+        library = np.empty((n, k_rank + centering, j))
+        eigenvalues = np.empty((n, k_rank))
+        case_coeffs = np.empty((n, k_rank, m))
+        sections = []
+        for lam, rows, beta in zip(eigenvalues, library, case_coeffs):
+            sections += (lam, rows[:k_rank], beta, rows[k_rank:])
+        r.into(*sections)
+        theta = r.f64(k_rank * m * d, shape=(k_rank, m, d))
+        mu = r.f64(k_rank * m, shape=(k_rank, m))
+        sigma2 = r.f64(k_rank * m, shape=(k_rank, m))
+        r.finish()
 
     ranges = DesignRanges(lower, upper)
-    # per case: eigenvalues (K), modes (J x K) and coefficients (m x K), both
-    # column-major, then the mean field (J) when centered
-    modes_at, coeffs_at, mean_at = k_rank, k_rank * (1 + j), k_rank * (1 + j + m)
-    stride = mean_at + (j if centering else 0)
-    cases = r.f64(n * stride, shape=(n, stride))
-    theta = r.f64(k_rank * m * d, shape=(k_rank, m, d))
-    mu = r.f64(k_rank * m, shape=(k_rank, m))
-    sigma2 = r.f64(k_rank * m, shape=(k_rank, m))
-    r.finish()
-    del r  # release the file bytes before the solves below
-
-    for arr in (grid, times, design, theta, mu, sigma2, cases):
+    for arr in (grid, times, design, theta, mu, sigma2, library, eigenvalues,
+                case_coeffs):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteDataError(f"{path}: payload contains non-finite values")
     if np.any(theta <= 0.0) or not 0.0 <= nugget < np.inf:
@@ -489,8 +494,7 @@ def load_model(path) -> EmulatorModel:
             "nugget finite and nonnegative"
         )
 
-    coefficients = np.ascontiguousarray(
-        cases[:, coeffs_at:mean_at].reshape(n, k_rank, m).transpose(1, 2, 0))
+    coefficients = np.ascontiguousarray(case_coeffs.transpose(1, 2, 0))
     _, _, alpha = fit_fixed(ranges.normalize(design), theta, coefficients, nugget, mu)
 
     record = {
@@ -507,9 +511,8 @@ def load_model(path) -> EmulatorModel:
         design=design,
         ranges=ranges,
         rank=int(k_rank),
-        library=np.concatenate((cases[:, modes_at:coeffs_at], cases[:, mean_at:]),
-                               axis=1).reshape(n, k_rank + centering, j),
-        eigenvalues=cases[:, :modes_at].copy(),
+        library=library,
+        eigenvalues=eigenvalues,
         coefficients=coefficients,
         coeff_theta=theta,
         coeff_mu=mu,

@@ -489,17 +489,18 @@ def write_model(model: KrigingModel, path) -> None:
 
 def read_model(path) -> KrigingModel:
     with open(path, "rb") as fh:
-        r = Reader(fh.read(), MAGIC)
-    n, d = r.u64(2)
-    if min(n, d) < 1 or n * d > MAX_ELEMENTS:
-        raise DimensionOverflowError(f"{path}: implausible dimensions n={n}, d={d}")
-    inputs = r.f64(n * d, shape=(n, d))
-    obs = r.f64(n)
-    theta = r.f64(d)
-    nugget, mu, sigma2 = r.f64(3)
-    r.finish()
-    for arr in (inputs, obs, theta):
+        r = Reader(fh, MAGIC)
+        n, d = r.u64(2)
+        if min(n, d) < 1 or n * d > MAX_ELEMENTS:
+            raise DimensionOverflowError(f"{path}: implausible dimensions n={n}, d={d}")
+        inputs = r.f64(n * d, shape=(n, d))
+        obs = r.f64(n)
+        theta = r.f64(d)
+        scalars = r.f64(3)
+        r.finish()
+    for arr in (inputs, obs, theta, scalars):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteDataError(f"{path}: payload contains non-finite values")
+    nugget, mu, sigma2 = scalars
     params = CorrelationParams(theta, float(nugget))
     return KrigingModel(inputs, obs, params, float(mu), float(sigma2))

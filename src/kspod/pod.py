@@ -264,18 +264,18 @@ def write_basis(basis: PODBasis, path) -> None:
 
 def read_basis(path) -> PODBasis:
     with open(path, "rb") as fh:
-        r = Reader(fh.read(), MAGIC)
-    j, m, k, flags = r.u64(4)
-    if min(j, m) < 1 or (j + k + j * k + m * k) > MAX_ELEMENTS:
-        raise DimensionOverflowError(
-            f"{path}: implausible dimensions J={j}, m={m}, K={k}"
-        )
-    weights = r.f64(j)
-    lam = r.f64(k)
-    modes = r.f64(j * k, shape=(j, k), order="F")
-    coeffs = r.f64(m * k, shape=(m, k), order="F")
-    mean = r.f64(j) if flags & 1 else None
-    r.finish()
+        r = Reader(fh, MAGIC)
+        j, m, k, flags = r.u64(4)
+        if min(j, m) < 1 or (j + k + j * k + m * k) > MAX_ELEMENTS:
+            raise DimensionOverflowError(
+                f"{path}: implausible dimensions J={j}, m={m}, K={k}"
+            )
+        weights = r.f64(j)
+        lam = r.f64(k)
+        modes = r.f64(j * k, shape=(j, k), order="F")
+        coeffs = r.f64(m * k, shape=(m, k), order="F")
+        mean = r.f64(j) if flags & 1 else None
+        r.finish()
     arrays = [weights, lam, modes, coeffs] + ([mean] if mean is not None else [])
     for arr in arrays:
         if not np.all(np.isfinite(arr)):

@@ -4,6 +4,11 @@ One file holds one case and one flow variable: the design vector, the
 (axial, radial) grid, the time vector, and the J x m field matrix. The
 synthetic generator stands in for a high-fidelity solver at desk scale and
 produces fields that vary smoothly with the design vector.
+
+The field is stored column-major (one snapshot after another). A read
+returns it as a column-major view of the one array the payload is read into,
+and the generator builds it the same way, so neither reading nor writing a
+generated set copies the field.
 """
 
 import math
@@ -130,24 +135,26 @@ def write_dataset(s: SnapshotSet, path) -> None:
 
 
 def read_dataset(path) -> SnapshotSet:
-    """Read a KSPD1 file; the case_id is taken from the file stem."""
+    """Read a KSPD1 file; the case_id is taken from the file stem.
+
+    The four sections are one read into one array, scanned once for
+    non-finite values; design, grid, times and field are views of it.
+    """
     with open(path, "rb") as fh:
-        r = Reader(fh.read(), MAGIC)
-    j, m, d = r.u64(3)
-    if min(j, m, d) < 1 or (d + 2 * j + m + j * m) > MAX_ELEMENTS:
-        raise DimensionOverflowError(
-            f"{path}: implausible dimensions J={j}, m={m}, d={d}"
-        )
-    design = r.f64(d)
-    grid = r.f64(2 * j, shape=(j, 2))
-    times = r.f64(m)
-    fld = r.f64(j * m, shape=(j, m), order="F")
-    r.finish()
-    for arr in (design, grid, times, fld):
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteDataError(f"{path}: payload contains non-finite values")
+        r = Reader(fh, MAGIC)
+        j, m, d = r.u64(3)
+        if min(j, m, d) < 1 or (d + 2 * j + m + j * m) > MAX_ELEMENTS:
+            raise DimensionOverflowError(
+                f"{path}: implausible dimensions J={j}, m={m}, d={d}"
+            )
+        payload = r.f64(d + 2 * j + m + j * m)
+        r.finish()
+    if not np.isfinite(payload).all():
+        raise NonFiniteDataError(f"{path}: payload contains non-finite values")
+    design, grid, times, fld = np.split(payload, np.cumsum([d, 2 * j, m]))
     return SnapshotSet(
-        case_id=Path(path).stem, design=design, grid=grid, times=times, field=fld
+        case_id=Path(path).stem, design=design, grid=grid.reshape(j, 2),
+        times=times, field=fld.reshape((j, m), order="F"),
     )
 
 
@@ -238,19 +245,23 @@ def synth_flowfield(design, grid, times, recipe: SynthRecipe,
                     f"bound {f_max} Hz"
                 )
 
-    fld = np.repeat(
-        np.asarray(recipe.mean(grid, design), dtype=float)[:, None],
-        times.size, axis=1,
-    )
+    # built time-major, one contiguous row per snapshot: the (J, m) field is
+    # its column-major transpose, the KSPD1 layout, so writing it copies
+    # nothing; each term is still a * (g * c), element by element
+    out = np.empty((times.size, grid.shape[0]))
+    out[:] = np.asarray(recipe.mean(grid, design), dtype=float)
+    term = np.empty_like(out)
     for wave in recipe.waves:
         a = float(wave.amplitude(design))
         f = float(wave.frequency(design))
         psi = float(wave.phase(design))
         g = np.asarray(wave.pattern(grid), dtype=float)
-        fld += a * np.outer(g, np.cos(2.0 * math.pi * f * times + psi))
+        np.multiply(np.cos(2.0 * math.pi * f * times + psi)[:, None], g, out=term)
+        term *= a
+        out += term
 
     return SnapshotSet(
-        case_id=case_id, design=design, grid=grid, times=times, field=fld,
+        case_id=case_id, design=design, grid=grid, times=times, field=out.T,
         variable=recipe.variable, units=recipe.units,
     )
 

@@ -97,6 +97,51 @@ class TestEvalErrors:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestNegativeOptionValues:
+    # a value starting with "-" parses the same given as "--opt value" or
+    # "--opt=value", with the exit code the "=" form gives
+
+    @pytest.fixture
+    def trained(self, tmp_path):
+        cfg = small_config(tmp_path)
+        assert cli.main([
+            "design", "--dims", "2", "--slices", "2", "--per-slice", "3",
+            "--seed", "3", "--out", str(tmp_path / "design.csv"),
+        ]) == 0
+        assert cli.main(["synth", "--config", str(cfg)]) == 0
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        return tmp_path
+
+    @staticmethod
+    def both_forms(option, value):
+        return [[option, value], [f"{option}={value}"]]
+
+    def test_predict_x(self, trained):
+        outputs = []
+        for i, form in enumerate(self.both_forms("--x", "-0.5,12")):
+            out = trained / f"p{i}.kspd"
+            assert cli.main(["predict", "--model", str(trained / "model.ksem"),
+                             "--out", str(out)] + form) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--threshold", "-inf", "kspod: threshold must be finite"),
+        ("--stations", "-1,2", "kspod: station -1.0 is not on the grid"),
+    ])
+    def test_eval(self, trained, capsys, option, value, message):
+        case = str(trained / "data" / "train" / "case_000.kspd")
+        for form in self.both_forms(option, value):
+            code = cli.main(["eval", "--sim", case, "--emu", case, "--bandwidth",
+                             "0.05", "--out", str(trained / "r.json")] + form)
+            assert code == 1
+            assert capsys.readouterr().err.strip() == message
+
+    def test_missing_value_still_usage_error(self, tmp_path):
+        assert cli.main(["predict", "--model", str(tmp_path / "m.ksem"),
+                         "--x", "--out", str(tmp_path / "p.kspd")]) == 2
+
+
 class TestStepwiseCommands:
     def test_synth_train_predict_eval(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -121,14 +123,14 @@ class TestContainerFormat:
         writer.u64(2)
         writer.f64([1.5, -2.0])
         data = writer.getvalue()
-        reader = Reader(data, "KSPDX")
+        reader = Reader(io.BytesIO(data), "KSPDX")
         assert reader.u64(1) == [2]
         section = reader.f64(2)
         reader.finish()
         assert section.tolist() == [1.5, -2.0]
         assert section.flags.writeable and section.flags.owndata
         assert not np.shares_memory(section, np.frombuffer(data, dtype=np.uint8))
-        reader = Reader(data, "KSPDX")
+        reader = Reader(io.BytesIO(data), "KSPDX")
         reader.u64(1)
         with pytest.raises(TruncatedPayloadError,
                            match="need 24 bytes at offset 14, file has 30"):
