@@ -84,7 +84,9 @@ class TrainOptions:
     length-scale search, which runs once per mode on all its time-steps
     together: only the length-scale is pooled, and each (mode, time-step)
     model keeps its own mean, variance and weights. ``weight_theta`` fixes
-    the (positive) indicator-weight parameter instead of fitting it.
+    the (positive) indicator-weight parameter; by default it is the smallest
+    theta within ``log_theta_bounds`` whose weights keep the interpolation
+    identity at the training designs (``kriging.fit_indicator_theta``).
     """
 
     energy_threshold: float = 0.99

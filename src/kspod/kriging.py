@@ -11,11 +11,12 @@ length-scales share one least-squares step; the fit factorizes each
 distinct length-scale once and solves its datasets as one block.
 Prediction is the closed-form conditional mean.
 Indicator-vector kriging with one shared isotropic parameter provides
-per-case blending weights whose raw values sum to one identically.
+per-case blending weights whose raw values sum to one identically; the
+parameter is the smallest that keeps the weights interpolating.
 """
 
+import bisect
 import logging
-import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -45,6 +46,10 @@ MAGIC = "KSGP1"
 
 DEFAULT_NUGGET = 1e-8
 DEFAULT_LOG_THETA_BOUNDS = (-6.0, 6.0)
+
+# fit_indicator_theta's identity tolerance (criterion 05 asks 1e-6) and step
+IDENTITY_TOL = 1e-7
+IDENTITY_LOG_STEP = 0.05
 
 # Fixed table of multistart points in the unit box; scaled to the log-theta
 # bounds at fit time. Frozen so repeated fits are bit-reproducible.
@@ -152,10 +157,6 @@ def _sq_diffs(x_pts: np.ndarray) -> np.ndarray:
     return (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
 
 
-def _corr_vector(x_pts: np.ndarray, x_new: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    return np.exp(-((x_pts - x_new) ** 2) @ theta)
-
-
 def _checked(x_pts, ys=(), axis=0):
     """Input rows (n, d) and datasets with n entries along ``axis``, all finite."""
     x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
@@ -206,21 +207,6 @@ def _gls(factor, y, mu=None):
     return mu, resid, dpotrs(factor, resid, lower=1)[0]
 
 
-def _pivots_degenerate(factor: np.ndarray, nugget: float) -> bool:
-    """True when the smallest Cholesky pivot is dominated by the nugget.
-
-    In that regime the correlation matrix is numerically singular and the
-    profile likelihood rewards it spuriously (log det collapses while the
-    nugget hides the blow-up of the generalized residual). Such length
-    scales are excluded from the search, mirroring the condition-number
-    safeguards of standard GP fitting packages.
-    """
-    if nugget <= 0.0:
-        return False
-    smallest = float(np.min(np.diag(factor)))
-    return smallest * smallest <= 10.0 * nugget
-
-
 def _profile_nll(diffs, y, nugget, log_theta) -> float:
     """Negative profile log-likelihood of log-theta for one observation block.
 
@@ -229,10 +215,15 @@ def _profile_nll(diffs, y, nugget, log_theta) -> float:
     dataset's mean is profiled by generalized least squares and its variance
     in closed form, leaving the sum over datasets of
     n/2 log(sigma2) + 1/2 log det R. Length-scales whose R is not positive
-    definite, or whose pivots are dominated by the nugget, score _HUGE.
+    definite score _HUGE, as do those whose smallest pivot is dominated by
+    the nugget: R is then numerically singular and the likelihood rewards it
+    spuriously (log det collapses while the nugget hides the residual).
     """
     factor = _cholesky(diffs, np.exp(log_theta), nugget)
-    if factor is None or _pivots_degenerate(factor, nugget):
+    if factor is None:
+        return _HUGE
+    smallest = float(np.min(np.diag(factor)))
+    if nugget > 0.0 and smallest * smallest <= 10.0 * nugget:
         return _HUGE
     n = factor.shape[0]
     logdet = 2.0 * np.sum(np.log(np.diag(factor)))
@@ -391,16 +382,20 @@ def _build_model(x_pts, y, params: CorrelationParams) -> KrigingModel:
     return KrigingModel(x_pts, y, params, float(mu), float(sigma2), alpha)
 
 
+def _query_correlations(x_pts, theta, x_new):
+    """A query (d,) or block (q, d) and its input correlations, (n,) or (q, n)."""
+    x_new, d = np.atleast_1d(np.asarray(x_new, dtype=float)), x_pts.shape[1]
+    if x_new.ndim > 2 or x_new.shape[-1] != d:
+        raise ValueError(f"query must be a ({d},) vector or (q, {d}) array")
+    return x_new, np.exp(-((x_pts - x_new[..., None, :]) ** 2) @ theta)
+
+
 def predict(model: KrigingModel, x_new) -> float:
     """Conditional mean mu + r' R^-1 (y - mu 1) at a new point.
 
     Also accepts a (q, d) array of query points, returning a (q,) vector.
     """
-    x_new = np.asarray(x_new, dtype=float)
-    if x_new.ndim not in (1, 2) or x_new.shape[-1] != model.dims:
-        raise ValueError("query dimension does not match the model" if x_new.ndim == 1
-                         else "query must be a (d,) vector or (q, d) array")
-    r = np.exp(-((model.inputs - x_new[..., None, :]) ** 2) @ model.params.theta)
+    x_new, r = _query_correlations(model.inputs, model.params.theta, x_new)
     value = model.mu_hat + r @ model.alpha
     return float(value) if x_new.ndim == 1 else value
 
@@ -414,18 +409,16 @@ class IndicatorKriging:
         self.theta = params.theta
         self._factor = _cholesky_or_raise(_sq_diffs(self.x_pts), params.theta,
                                           params.nugget)
-        self._u, self._one_u = _mean_weights(self._factor)
+        u, one_u = _mean_weights(self._factor)
+        self._mu = u / one_u
 
     def weights(self, x_new) -> np.ndarray:
-        """Raw weights of the n inputs at x_new (see indicator_weights)."""
-        x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
-        if x_new.size != self.x_pts.shape[1]:
-            raise ValueError("query dimension does not match the inputs")
-        r = _corr_vector(self.x_pts, x_new, self.theta)
-        u = self._u
-        # w_i = mu_i (1 - r'u) + (R^-1 r)_i  with  mu_i = u_i / 1'u
-        solve = dpotrs(self._factor, r, lower=1)[0]
-        return (u / self._one_u) * (1.0 - r @ u) + solve
+        """Raw weights of the n inputs (see indicator_weights), (n,) at a query
+        (d,) and (q, n) at a block (q, d), each row computed alike."""
+        _, r = _query_correlations(self.x_pts, self.theta, x_new)
+        # w = mu (1 - 1'R^-1 r) + R^-1 r  with  mu = R^-1 1 / 1'R^-1 1
+        solve = dpotrs(self._factor, r.T, lower=1)[0].T
+        return (1.0 - solve.sum(axis=-1))[..., None] * self._mu + solve
 
 
 def indicator_weights(x_pts, params: CorrelationParams, x_new) -> np.ndarray:
@@ -443,37 +436,42 @@ def indicator_weights(x_pts, params: CorrelationParams, x_new) -> np.ndarray:
 
 def fit_indicator_theta(x_pts, nugget: float = DEFAULT_NUGGET,
                         log_theta_bounds: tuple = DEFAULT_LOG_THETA_BOUNDS) -> float:
-    """Shared isotropic theta for indicator kriging, by maximum likelihood.
+    """Shared isotropic theta for indicator kriging: the smallest candidate,
+    stepping IDENTITY_LOG_STEP up from the lower log bound to the upper one,
+    whose weights reproduce the unit vectors at the inputs to IDENTITY_TOL.
 
-    Maximizes the sum of the n indicator datasets' profile log-likelihoods
-    (the identity block as observations), an objective symmetric under
-    relabeling of the cases, over a single isotropic parameter.
+    A conditioning rule, not a fit: smaller theta blends more locally, but
+    the residual w(x_j) - e_j (-nugget times column j of the inverse bordered
+    matrix, Dubrule 1983, plus round-off) grows as theta falls, so bisection
+    finds the first candidate that passes; with a zero nugget the residual
+    is round-off alone, and the pick is one whose lower neighbour misses. A
+    failed factorization misses. If even the upper bound misses, it is
+    returned. Logs one DEBUG record on the "kspod" logger.
     """
-    x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
-    n = x_pts.shape[0]
-    if n == 1:
-        return 1.0
-    diffs = _sq_diffs(x_pts).sum(axis=2, keepdims=True)
-    eye = np.eye(n)
-
-    def objective(log_theta: float) -> float:
-        return _profile_nll(diffs, eye, nugget, [log_theta])
-
+    x_pts = _checked(x_pts)[0]
+    n, d = x_pts.shape
     lo, hi = log_theta_bounds
-    grid = np.linspace(lo, hi, 33)
-    values = [objective(g) for g in grid]
-    k = int(np.argmin(values))
-    lo_b = grid[max(k - 1, 0)]
-    hi_b = grid[min(k + 1, grid.size - 1)]
-    result = optimize.minimize_scalar(
-        objective, bounds=(lo_b, hi_b), method="bounded",
-        options={"xatol": 1e-6},
-    )
-    best = result.x if result.fun <= values[k] else grid[k]
-    if min(result.fun, values[k]) >= _HUGE:
-        warnings.warn("indicator likelihood degenerate; keeping theta = 1")
-        return 1.0
-    return float(np.exp(best))
+    count = np.ceil((hi - lo) / IDENTITY_LOG_STEP - 1e-9)
+    grid = np.append(lo + IDENTITY_LOG_STEP * np.arange(count), hi)
+    resids = {}
+
+    def passes(k):
+        try:
+            params = CorrelationParams.isotropic(np.exp(grid[k]), d, nugget)
+            weights = IndicatorKriging(x_pts, params).weights(x_pts)
+            resids[k] = np.abs(weights - np.eye(n)).max()
+        except IllConditionedError:
+            resids[k] = np.inf
+        return resids[k] <= IDENTITY_TOL
+
+    top = grid.size - 1
+    fallback = not passes(top)
+    pick = top if fallback else bisect.bisect_left(range(top), True, key=passes)
+    theta = float(np.exp(grid[pick]))
+    _log.debug("fit_indicator_theta: theta_w %.6g, identity residual %.3e, "
+               "%d residual evaluations, fell back to the upper bound: %s",
+               theta, resids[pick], len(resids), fallback)
+    return theta
 
 
 def write_model(model: KrigingModel, path) -> None:

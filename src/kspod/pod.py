@@ -115,7 +115,9 @@ def decompose(snapshots, centering: bool = True, weights=None) -> PODBasis:
     ``sqrt(lambda_k) * v_k``, so the full-rank product reproduces the input.
     """
     fld = snapshots.field if isinstance(snapshots, SnapshotSet) else snapshots
-    fld = np.asarray(fld, dtype=float)
+    # column-major, as generated and read sets are: sums and products then
+    # round alike whatever the caller's layout
+    fld = np.asfortranarray(fld, dtype=float)
     if fld.ndim != 2:
         raise ValueError("snapshots must form a 2-D (J, m) matrix")
     j, m = fld.shape

@@ -158,10 +158,10 @@ def test_criterion_05_indicator_weight_identities():
         worst_sum = max(worst_sum, abs(total - 1.0))
     assert worst_sum <= 1e-8
 
-    # negatives appear at moderate shared length scales; the MLE for
-    # indicator data sits at the large-theta end of the search box, where
-    # the weights are near uniform (effective cases 30.0 of 30 at e^6), so
-    # probe a fixed moderate theta for the no-clamping property
+    # negatives appear at moderate shared length scales; the fitted theta
+    # is the smallest that keeps the identity above (about 8.2 here), and
+    # the extrapolative probes below use a fixed moderate theta for the
+    # no-clamping property
     moderate = CorrelationParams.isotropic(5.0, 3)
     negatives = 0
     for probe in rng.uniform(1.0, 1.3, size=(20, 3)):
@@ -203,6 +203,35 @@ def test_criterion_07_end_to_end_gate(desk_pipeline):
     assert desk_pipeline["elapsed"] < 600.0
     _pass(7, f"{within}/8 held-out points within 5% (max "
              f"{max(errors):.2%}); pipeline took {desk_pipeline['elapsed']:.0f}s")
+
+
+def test_criterion_07_heldout_max_within_one_percent(desk_pipeline):
+    # beside the 5% gate: with the blend local in design space every
+    # held-out design of the desk pipeline is within 1% (0.43% measured)
+    errors = [entry["rel_l2_error"] for entry in desk_pipeline["report"]["cases"].values()]
+    assert max(errors) <= 0.01
+    _pass(7, f"held-out max {max(errors):.2%}, mean {np.mean(errors):.2%}, within 1%")
+
+
+def test_criterion_07_gate_on_another_desk_design():
+    # the 5% gate on the benchmark's desk seed 25: train on its sliced design
+    # and hold out the first 8 designs of its seed-26 held-out set, shrunk by
+    # 0.75 about the centre; near-uniform weights (theta_w = e^6) leave 2 of
+    # them above 5% here
+    ranges = kspod.SWIRL_DESIGN_RANGES
+    recipe = kspod.default_recipe(ranges)
+    grid, times = kspod.make_grid(50, 50), kspod.make_times(100)
+    train_pts = kspod.scale_design(kspod.generate_slhd(5, 6, 3, seed=25), ranges)
+    raw = kspod.generate_slhd(4, 8, 3, seed=26).points[:8]
+    test_pts = ranges.scale(0.5 + 0.75 * (raw - 0.5))
+    model = kspod.train([kspod.synth_flowfield(x, grid, times, recipe) for x in train_pts],
+                        kspod.TrainOptions(ranges=ranges))
+    errors = [kspod.time_averaged_l2_error(kspod.synth_flowfield(x, grid, times, recipe),
+                                           kspod.predict_snapshots(model, x))
+              for x in test_pts]
+    within = sum(e <= 0.05 for e in errors)
+    assert within == 8
+    _pass(7, f"desk seed 25: {within}/8 held-out within 5% (max {max(errors):.2%})")
 
 
 def test_criterion_08_emulator_interpolation(desk_pipeline):

@@ -392,21 +392,106 @@ class TestIndicatorWeights:
         theta = fit_indicator_theta(x_pts)
         assert np.isfinite(theta) and theta > 0.0
 
-    def test_indicator_theta_is_identity_block_argmin(self):
-        # the criterion-05 design; fit_indicator_theta must land on the
-        # minimum of the shared profile likelihood with Y = I
+    def test_block_equals_single_queries(self):
+        # a (q, d) block runs the per-query code on every row at once and
+        # gives the same bits, at probes and at the inputs themselves
+        rng = np.random.default_rng(18)
+        x_pts = rng.uniform(size=(30, 3))
+        for theta in (0.05, 6.4, 50.0):
+            kriging_w = IndicatorKriging(x_pts, CorrelationParams.isotropic(theta, 3))
+            for probes in (rng.uniform(-0.2, 1.2, size=(37, 3)), x_pts, x_pts[:1]):
+                block = kriging_w.weights(probes)
+                assert block.shape == (len(probes), 30)
+                assert np.array_equal(block, [kriging_w.weights(p) for p in probes])
+
+    def test_block_query_dimension_checked(self):
+        kriging_w = IndicatorKriging(np.eye(3), CorrelationParams.isotropic(1.0, 3))
+        for bad in (np.zeros((4, 2)), np.zeros((2, 4, 3))):
+            with pytest.raises(ValueError, match=r"\(3,\) vector or \(q, 3\) array"):
+                kriging_w.weights(bad)
+
+
+def bordered_identity_residual(x_pts, theta, nugget):
+    """max |w(x_j) - e_j| from a dense inverse of the bordered ordinary-
+    kriging matrix [[R + nugget I, 1], [1', 0]] (oracle)."""
+    n = x_pts.shape[0]
+    rmat = np.exp(-theta * ((x_pts[:, None, :] - x_pts[None, :, :]) ** 2).sum(axis=2))
+    bordered = np.ones((n + 1, n + 1))
+    bordered[:n, :n] = rmat + nugget * np.eye(n)
+    bordered[n, n] = 0.0
+    weights = np.linalg.inv(bordered)[:n] @ np.vstack([rmat, np.ones(n)])
+    return float(np.abs(weights - np.eye(n)).max())
+
+
+class TestIndicatorTheta:
+    """fit_indicator_theta: the smallest theta on the IDENTITY_LOG_STEP grid
+    whose weights reproduce the unit vectors at the inputs to IDENTITY_TOL."""
+
+    LOG_GRID = np.append(DEFAULT_LOG_THETA_BOUNDS[0]
+                         + kriging.IDENTITY_LOG_STEP * np.arange(240),
+                         DEFAULT_LOG_THETA_BOUNDS[1])
+
+    @pytest.mark.parametrize("x_pts", [
+        generate_slhd(5, 6, 3, seed=0).points,    # acceptance criterion 05
+        generate_slhd(8, 10, 3, seed=1).points,
+        np.random.default_rng(9).uniform(size=(12, 3)),
+    ], ids=["criterion05", "slhd80", "uniform12"])
+    def test_first_grid_point_within_tolerance(self, x_pts):
+        fitted = fit_indicator_theta(x_pts)
+        at = int(np.argmin(np.abs(np.log(fitted) - self.LOG_GRID)))
+        assert 0 < at < self.LOG_GRID.size - 1
+        assert fitted == np.exp(self.LOG_GRID[at])
+        oracle = [bordered_identity_residual(x_pts, np.exp(g), DEFAULT_NUGGET)
+                  for g in self.LOG_GRID[:at + 1]]
+        assert oracle[-1] <= kriging.IDENTITY_TOL
+        assert min(oracle[:-1]) > kriging.IDENTITY_TOL
+
+    def test_zero_nugget_pick_keeps_identity(self):
+        # nugget * Q_nn vanishes at a zero nugget, yet round-off alone
+        # breaks the identity at the lower bound: the pick is measured
         x_pts = generate_slhd(5, 6, 3, seed=0).points
-        n = x_pts.shape[0]
-        diffs = ((x_pts[:, None, :] - x_pts[None, :, :]) ** 2).sum(
-            axis=2, keepdims=True)
-        eye = np.eye(n)
-        grid = np.linspace(*DEFAULT_LOG_THETA_BOUNDS, 241)
-        values = [_profile_nll(diffs, eye, DEFAULT_NUGGET, [g]) for g in grid]
-        best = grid[int(np.argmin(values))]
-        fitted = np.log(fit_indicator_theta(x_pts))
-        assert abs(fitted - best) <= grid[1] - grid[0]
-        assert _profile_nll(diffs, eye, DEFAULT_NUGGET, [fitted]) \
-            <= min(values) + 1e-9
+        fitted = fit_indicator_theta(x_pts, nugget=0.0)
+        assert np.log(fitted) > DEFAULT_LOG_THETA_BOUNDS[0] + 1.0
+        weights = IndicatorKriging(
+            x_pts, CorrelationParams.isotropic(fitted, 3, nugget=0.0)).weights(x_pts)
+        assert np.abs(weights - np.eye(30)).max() <= kriging.IDENTITY_TOL
+
+    def test_large_nugget_falls_back_to_upper_bound(self, caplog):
+        x_pts = generate_slhd(5, 6, 3, seed=0).points
+        with caplog.at_level(logging.DEBUG, logger="kspod"):
+            fitted = fit_indicator_theta(x_pts, nugget=1e-6)
+        assert fitted == np.exp(DEFAULT_LOG_THETA_BOUNDS[1])
+        (record,) = [r for r in caplog.records if r.name == "kspod"]
+        theta, resid, evaluations, fallback = record.args
+        assert theta == fitted and resid > kriging.IDENTITY_TOL
+        assert evaluations == 1 and fallback is True
+
+    def test_debug_record(self, caplog):
+        x_pts = generate_slhd(5, 6, 3, seed=0).points
+        with caplog.at_level(logging.DEBUG, logger="kspod"):
+            fitted = fit_indicator_theta(x_pts)
+        (record,) = [r for r in caplog.records if r.name == "kspod"]
+        theta, resid, evaluations, fallback = record.args
+        assert theta == fitted and fallback is False
+        assert 0.0 < resid <= kriging.IDENTITY_TOL
+        # the upper bound, then a bisection of the 240 candidates below it
+        assert evaluations in (1 + 7, 1 + 8)
+
+    def test_independent_of_case_order(self):
+        x_pts = generate_slhd(5, 6, 3, seed=0).points
+        fitted = fit_indicator_theta(x_pts)
+        rng = np.random.default_rng(19)
+        for _ in range(3):
+            assert fit_indicator_theta(x_pts[rng.permutation(30)]) == fitted
+
+    def test_bounds_set_the_grid(self):
+        # candidates start at the lower bound; the last one is the upper
+        # bound even when the span is not a whole number of steps
+        x_pts = generate_slhd(5, 6, 3, seed=0).points
+        fitted = fit_indicator_theta(x_pts, log_theta_bounds=(1.01, 2.5))
+        candidates = np.append(1.01 + kriging.IDENTITY_LOG_STEP * np.arange(30), 2.5)
+        assert np.log(fitted) < 2.5 and fitted in np.exp(candidates)
+        assert fit_indicator_theta(x_pts, log_theta_bounds=(3.0, 3.01)) == np.exp(3.0)
 
 
 class TestSerialization:
