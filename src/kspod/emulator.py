@@ -84,9 +84,11 @@ class TrainOptions:
     length-scale search, which runs once per mode on all its time-steps
     together: only the length-scale is pooled, and each (mode, time-step)
     model keeps its own mean, variance and weights. ``weight_theta`` fixes
-    the (positive) indicator-weight parameter; by default it is the smallest
-    theta within ``log_theta_bounds`` whose weights keep the interpolation
-    identity at the training designs (``kriging.fit_indicator_theta``).
+    the (positive) indicator-weight parameter; by default it is a grid theta
+    within ``log_theta_bounds`` whose weights keep the interpolation
+    identity at the training designs while the next lower one's do not
+    (``kriging.fit_indicator_theta``). That is the smallest passing theta
+    under a nugget; with a zero nugget a lower one may pass as well.
     """
 
     energy_threshold: float = 0.99
@@ -422,15 +424,13 @@ def save_model(model: EmulatorModel, path) -> None:
     flags = 1 if model.centering else 0
     # the eighth word is 1 when each mode's length-scale is shared across
     # time-steps; files fitted per (mode, time-step) carry 0 and keep it
-    w.u64(n, d, j, m, k_rank, flags,
-          int(rec.get("restarts", 8)),
-          1 if rec.get("shared_theta", True) else 0,
-          int(rec.get("num_modes") or 0))
-    lb, ub = rec.get("log_theta_bounds", DEFAULT_LOG_THETA_BOUNDS)
-    thr = rec.get("energy_threshold")
+    w.u64(n, d, j, m, k_rank, flags, int(rec["restarts"]),
+          1 if rec["shared_theta"] else 0, int(rec["num_modes"] or 0))
+    lb, ub = rec["log_theta_bounds"]
+    thr = rec["energy_threshold"]
     w.f64([
         np.nan if thr is None else float(thr),
-        float(rec.get("nugget", DEFAULT_NUGGET)),
+        float(rec["nugget"]),
         float(rec["weight_theta"]),
         float(lb), float(ub),
     ])
@@ -490,10 +490,11 @@ def load_model(path) -> EmulatorModel:
                 case_coeffs):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteDataError(f"{path}: payload contains non-finite values")
-    if np.any(theta <= 0.0) or not 0.0 <= nugget < np.inf:
+    if np.any(theta <= 0.0) or not 0.0 < weight_theta < np.inf \
+            or not 0.0 <= nugget < np.inf:
         raise ValueError(
-            f"{path}: coefficient length-scales must be positive and the "
-            "nugget finite and nonnegative"
+            f"{path}: coefficient and weight length-scales must be positive "
+            "and finite, and the nugget finite and nonnegative"
         )
 
     coefficients = np.ascontiguousarray(case_coeffs.transpose(1, 2, 0))

@@ -509,13 +509,17 @@ class TestSerialization:
         k_rank, m = small_model.coeff_mu.shape
         theta_at = len(data) - 8 * k_rank * m * (small_model.dims + 2)
         nugget_at = 6 + 9 * 8 + 8
-        for offset in (theta_at, nugget_at):
+        weight_theta_at = 6 + 9 * 8 + 2 * 8
+        patches = [(theta_at, -1e-3), (nugget_at, -1e-3)]
+        patches += [(weight_theta_at, v) for v in (-1e-3, -1.0, 0.0, np.nan, np.inf)]
+        for i, (offset, value) in enumerate(patches):
             patched = bytearray(data)
-            patched[offset:offset + 8] = np.float64(-1e-3).tobytes()
-            bad = tmp_path / f"bad{offset}.ksem"
+            patched[offset:offset + 8] = np.float64(value).tobytes()
+            bad = tmp_path / f"bad{i}.ksem"
             bad.write_bytes(bytes(patched))
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as caught:
                 load_model(bad)
+            assert str(bad) in str(caught.value)
 
     def test_non_finite_case_library_rejected(self, small_model, tmp_path):
         path = tmp_path / "model.ksem"

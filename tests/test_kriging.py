@@ -1,4 +1,8 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +333,42 @@ class TestBlockSearch:
             assert 0 <= rejected <= evaluations and 0 <= on_bounds <= dims
         _, rejected, on_bounds, _ = records[1].args
         assert rejected > 0 and on_bounds > 0
+
+    @pytest.mark.parametrize("data", ["sine", "block"])
+    def test_no_last_step_move_improves(self, data):
+        # the search stops when no coordinate move by its last step, 1.5/2^4,
+        # lowers the negative likelihood by more than 1e-12; the returned
+        # theta must satisfy that, whichever start it came from
+        if data == "sine":
+            x_pts = np.linspace(0.0, 1.0, 8)[:, None]
+            y = np.sin(2.0 * np.pi * x_pts[:, 0])
+        else:
+            x_pts, y = self.block_inputs()
+        lo, hi = DEFAULT_LOG_THETA_BOUNDS
+        diffs = kriging._sq_diffs(x_pts)
+        log_theta = np.log(fit_theta(x_pts, y))
+        best = _profile_nll(diffs, y, DEFAULT_NUGGET, log_theta)
+        moves = 0
+        for k in range(log_theta.size):
+            for sign in (1.0, -1.0):
+                trial = log_theta.copy()
+                trial[k] = np.clip(trial[k] + sign * 1.5 * 2.0 ** -4, lo, hi)
+                if trial[k] == log_theta[k]:
+                    continue
+                moves += 1
+                assert _profile_nll(diffs, y, DEFAULT_NUGGET, trial) >= best - 1e-12
+        assert moves > 0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the length-scale search is self-contained; importing the package
+    # must not pull in scipy's optimizers
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, kspod; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestIndicatorWeights:
