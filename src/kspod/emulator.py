@@ -378,7 +378,8 @@ def predict_coefficients(model: EmulatorModel, x_new,
 
 
 def predict_field(model: EmulatorModel, x_new, time_indices=None) -> np.ndarray:
-    """Full-field prediction (J, len(indices)) at an untried design point.
+    """Full-field prediction (J, len(indices)) at an untried design point,
+    column-major like generated and read fields.
 
     Combines predicted modes and coefficients; with centering on, the mean
     field is blended with the same normalized weights as the modes and
@@ -388,7 +389,9 @@ def predict_field(model: EmulatorModel, x_new, time_indices=None) -> np.ndarray:
     beta = predict_coefficients(model, x_new, time_indices)
     if model.centering:
         beta = np.vstack((beta, np.ones(beta.shape[1])))
-    return _blend(model, w).T @ beta
+    # the (m, J) product's transpose is the column-major field, which a
+    # KSPD1 writer takes without a transposing copy
+    return (beta.T @ _blend(model, w)).T
 
 
 def predict_snapshots(model: EmulatorModel, x_new,

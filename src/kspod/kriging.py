@@ -6,10 +6,11 @@ search in log space run from several fixed start points; the best end point
 is kept. One search serves a single dataset or a block of datasets on the
 same inputs: the block shares one length-scale vector, while each dataset
 keeps its own mean and variance. Every correlation matrix is factorized by
-one LAPACK Cholesky helper, and the search and the closed-form fit at fixed
-length-scales share one least-squares step; the fit factorizes each
-distinct length-scale once and solves its datasets as one block.
-Prediction is the closed-form conditional mean.
+one LAPACK Cholesky helper. The search scores each distinct length-scale
+vector once, by one whitened triangular solve against the factor; the
+closed-form fit at fixed length-scales solves with the factor instead,
+factorizing each distinct length-scale once and solving its datasets as one
+block. Prediction is the closed-form conditional mean.
 Indicator-vector kriging with one shared isotropic parameter provides
 per-case blending weights whose raw values sum to one identically; the
 parameter is a grid value whose weights keep interpolating while its lower
@@ -21,7 +22,7 @@ import logging
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from ._binio import MAX_ELEMENTS, Reader, Writer
 from .errors import DimensionOverflowError, FitError, IllConditionedError, NonFiniteDataError
@@ -171,9 +172,12 @@ def _cholesky(diffs, theta, nugget):
     input differences, or None when it is not positive definite. LAPACK is
     called directly: callers check their inputs, so R is finite."""
     n = diffs.shape[0]
-    rmat = np.exp(-(diffs @ theta))
+    rmat = diffs @ -theta
+    np.exp(rmat, out=rmat)
     rmat.flat[::n + 1] += nugget
-    factor, info = dpotrf(rmat, lower=1, clean=0)
+    # R is exactly symmetric, so its column-major view is R itself and
+    # LAPACK factorizes it in place
+    factor, info = dpotrf(rmat.T, lower=1, clean=0, overwrite_a=1)
     return factor if info == 0 else None
 
 
@@ -194,17 +198,6 @@ def _mean_weights(factor):
     return u, u @ ones
 
 
-def _gls(factor, y, mu=None):
-    """Generalized least squares of y (n,) or (n, q) on the factor of R: the
-    mean mu = u'y / 1'u unless given, the residual y - mu and
-    alpha = R^-1 (y - mu)."""
-    if mu is None:
-        u, one_u = _mean_weights(factor)
-        mu = (u @ y) / one_u
-    resid = y - mu
-    return mu, resid, dpotrs(factor, resid, lower=1)[0]
-
-
 def _profile_nll(diffs, y, nugget, log_theta) -> float:
     """Negative profile log-likelihood of log-theta for one observation block.
 
@@ -217,18 +210,37 @@ def _profile_nll(diffs, y, nugget, log_theta) -> float:
     the nugget: R is then numerically singular and the likelihood rewards it
     spuriously (log det collapses while the nugget hides the residual).
     """
+    return _whitened_nll(diffs, _ones_block(y), nugget, log_theta)
+
+
+def _ones_block(y):
+    """The column-major (n, 1 + q) block [1 | y] of a dataset (n,) or (n, q)."""
+    y = y.reshape(y.shape[0], -1)
+    block = np.empty((y.shape[0], 1 + y.shape[1]), order="F")
+    block[:, 0] = 1.0
+    block[:, 1:] = y
+    return block
+
+
+def _whitened_nll(diffs, block, nugget, log_theta) -> float:
+    """_profile_nll of the datasets in ``block`` = [1 | y] from one
+    triangular solve Z = L^-1 block against the lower factor L of R: with
+    v = L^-1 1, each dataset's mean is v'z / v'v and its quadratic form
+    (y - mu)' R^-1 (y - mu) is |z - mu v|^2 (Rasmussen & Williams 2006,
+    Alg. 2.1)."""
     factor = _cholesky(diffs, np.exp(log_theta), nugget)
     if factor is None:
         return np.inf
-    smallest = float(np.min(np.diag(factor)))
+    pivots = np.diag(factor)
+    smallest = float(np.min(pivots))
     if nugget > 0.0 and smallest * smallest <= 10.0 * nugget:
         return np.inf
     n = factor.shape[0]
-    logdet = 2.0 * np.sum(np.log(np.diag(factor)))
-    _, resid, alpha = _gls(factor, y)
-    # resid' R^-1 resid per dataset, each as one dot product
-    quad = resid.T[..., None, :] @ alpha.T[..., :, None]
-    sigma2 = np.maximum(quad / n, 1e-300)
+    logdet = 2.0 * np.sum(np.log(pivots))
+    white = dtrtrs(factor, block, lower=1)[0]
+    v, z = white[:, 0], white[:, 1:]
+    resid = z - np.outer(v, (v @ z) / (v @ v))
+    sigma2 = np.maximum(np.einsum("nq,nq->q", resid, resid) / n, 1e-300)
     value = 0.5 * n * np.sum(np.log(sigma2)) + 0.5 * sigma2.size * logdet
     return value if np.isfinite(value) else np.inf
 
@@ -279,10 +291,13 @@ def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
     end point is returned: no move of one log-theta coordinate by the last
     step (1.5 / 16, clipped to the bounds) lowers the negative likelihood
     there by more than 1e-12. Constant data skip the search (every theta
-    predicts the constant) and keep theta = 1. Exact duplicate rows with a
-    zero nugget raise IllConditionedError. Each search logs one DEBUG record
-    on the "kspod" logger: the likelihood evaluations, how many of them were
-    rejected, and how many fitted components sit on the search bounds.
+    predicts the constant) and keep theta = 1. Every distinct log-theta the
+    starts visit is scored once, by one factorization and one triangular
+    solve (see _whitened_nll); a repeat is answered from memory. Exact
+    duplicate rows with a zero nugget raise IllConditionedError. Each search
+    logs one DEBUG record on the "kspod" logger: the distinct length-scale
+    vectors scored, the repeats answered from memory, how many distinct ones
+    were rejected, and how many fitted components sit on the search bounds.
     Non-finite or mis-sized data raise ValueError.
     """
     options = options or FitOptions()
@@ -291,12 +306,18 @@ def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
     if n == 1 or _is_constant(y):
         return np.ones(d)
     diffs = _sq_diffs(x_pts)
-    y = np.ascontiguousarray(y)  # GLS products round by layout; theta must not
-    scores = []
+    # one column-major copy, so products round alike whatever y's layout
+    block = _ones_block(y)
+    scores, repeats = {}, 0
 
     def objective(log_theta):
-        scores.append(_profile_nll(diffs, y, options.nugget, log_theta))
-        return scores[-1]
+        nonlocal repeats
+        key = log_theta.tobytes()
+        if key in scores:
+            repeats += 1
+        else:
+            scores[key] = _whitened_nll(diffs, block, options.nugget, log_theta)
+        return scores[key]
 
     lo, hi = options.log_theta_bounds
     best_x, best_f = min(
@@ -313,10 +334,11 @@ def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
             best_theta=np.exp(best_x),
         )
     _log.debug(
-        "fit_theta: %d likelihood evaluations, %d rejected (R not positive "
-        "definite, pivots dominated by the nugget, or a non-finite "
-        "likelihood), %d of %d length-scales on the search bounds",
-        len(scores), scores.count(np.inf),
+        "fit_theta: %d distinct length-scale vectors scored, %d repeats "
+        "answered from memory, %d rejected (R not positive definite, pivots "
+        "dominated by the nugget, or a non-finite likelihood), %d of %d "
+        "length-scales on the search bounds",
+        len(scores), repeats, list(scores.values()).count(np.inf),
         int(np.sum((best_x <= lo) | (best_x >= hi))), d,
     )
     return np.exp(best_x)
@@ -365,7 +387,8 @@ def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
         if mu is None:
             u, one_u = _mean_weights(factor)
             mu_out[lo:hi] = np.einsum("n,qn->q", u, ys[lo:hi]) / one_u
-        _, resid, block = _gls(factor, ys[lo:hi].T, mu_out[lo:hi])
+        resid = ys[lo:hi].T - mu_out[lo:hi]
+        block = dpotrs(factor, resid, lower=1)[0]
         alpha[lo:hi] = block.T
         sigma2[lo:hi] = np.maximum(np.einsum("nq,nq->q", resid, block) / n, 0.0)
     return mu_out.reshape(lead), sigma2.reshape(lead), alpha.reshape(y.shape)

@@ -136,8 +136,12 @@ def decompose(snapshots, centering: bool = True, weights=None) -> PODBasis:
     mean = fld.mean(axis=1) if centering else None
     fluct = fld - mean[:, None] if centering else fld
 
-    gram = fluct.T @ (w[:, None] * fluct)
-    gram = 0.5 * (gram + gram.T)
+    if weights is None:
+        # one symmetric (syrk) product, exactly symmetric as it stands
+        gram = fluct.T @ fluct
+    else:
+        gram = fluct.T @ (w[:, None] * fluct)
+        gram = 0.5 * (gram + gram.T)
     evals, evecs = np.linalg.eigh(gram)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import kspod
+from kspod._binio import Writer
 from kspod.emulator import (
     TrainOptions,
     _assemble,
+    _blend,
     _normalize_raw,
     load_model,
     nw_weights,
@@ -27,7 +29,7 @@ from kspod.errors import (
 )
 from kspod.kriging import CorrelationParams, FitOptions, fit_fixed, fit_theta, indicator_weights
 from kspod.pod import PODBasis, decompose, reconstruct, truncate
-from kspod.snapshots import SnapshotSet
+from kspod.snapshots import SnapshotSet, read_dataset, write_dataset
 from test_kriging import dense_predict
 
 DATA = Path(__file__).parent / "data"
@@ -351,6 +353,29 @@ class TestPrediction:
         if count:
             scale = np.abs(expected).max()
             assert np.abs(fld - expected).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("fixture", ["small_model", "uncentered_model"])
+    @pytest.mark.parametrize("indices", [None, [0], [7], [3, 9, 2]])
+    def test_field_column_major_and_written_without_copy(
+            self, request, desk_setup, tmp_path, fixture, indices):
+        # the column-major field equals the row-major (J, K [+1]) times
+        # (K [+1], m) recombination bit for bit, the KSPD1 writer queues it
+        # without a copy, and a written history reads back the same bits
+        model = request.getfixturevalue(fixture)
+        x = desk_setup["ranges"].scale(np.array([0.41, 0.63, 0.28]))
+        fld = predict_field(model, x, indices)
+        assert fld.flags.f_contiguous
+        beta = predict_coefficients(model, x, indices)
+        if model.centering:
+            beta = np.vstack((beta, np.ones(beta.shape[1])))
+        w = weight_vector(model, x).normalized
+        assert np.array_equal(fld, _blend(model, w).T @ beta)
+        writer = Writer("KSPD1")
+        writer.f64(fld, order="F")
+        assert np.shares_memory(writer._sections[-1], fld)
+        path = tmp_path / "predicted.kspd"
+        write_dataset(predict_snapshots(model, x), path)
+        assert np.array_equal(read_dataset(path).field, predict_field(model, x))
 
     def test_sign_flip_robustness(self, small_cases, desk_setup):
         options = TrainOptions(ranges=desk_setup["ranges"], num_modes=2)

@@ -57,6 +57,27 @@ def dense_indicator_weights(x_pts, theta, nugget, x_new):
     return out
 
 
+def unmemoized_search(x_pts, y, options=FitOptions()):
+    """fit_theta's multistart search with every evaluation scored afresh by
+    _profile_nll. Returns the best log-theta, its score and each scored
+    (log-theta bytes, score) pair in order."""
+    diffs = kriging._sq_diffs(x_pts)
+    lo, hi = options.log_theta_bounds
+    scored = []
+
+    def objective(log_theta):
+        scored.append((log_theta.tobytes(),
+                       _profile_nll(diffs, y, options.nugget, log_theta)))
+        return scored[-1][1]
+
+    best_x, best_f = min(
+        (kriging._coordinate_search(objective, x0, lo, hi)
+         for x0 in kriging._starts(x_pts.shape[1], options.restarts, lo, hi)),
+        key=lambda searched: searched[1],
+    )
+    return best_x, best_f, scored
+
+
 class TestCorrelation:
     def test_identical_points(self):
         params = CorrelationParams(np.array([2.0, 3.0]))
@@ -145,20 +166,46 @@ class TestFitAndPredict:
         assert all(objective(p) >= fitted - 1e-9 for p in probes)
 
     def test_profile_nll_matches_dense_formula(self):
+        # one dataset (n,) and a block (n, q): the sum over datasets of
+        # n/2 log(sigma2) + 1/2 log det R, each with its own GLS mean. The
+        # LU oracle and the Cholesky path each err by about cond(R) * eps,
+        # so R's condition number is kept below 1e5 for rel 1e-12.
         rng = np.random.default_rng(12)
         x_pts = rng.uniform(size=(12, 3))
-        y = rng.normal(size=12)
+        cases = [(rng.normal(size=12), rng.uniform(-2.0, 2.0, size=(5, 3)))]
+        cases.append((rng.normal(size=(12, 4)), rng.uniform(-1.0, 2.0, size=(5, 3))))
         diffs = (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
-        for log_theta in rng.uniform(-2.0, 2.0, size=(5, 3)):
-            rmat = np.exp(-diffs @ np.exp(log_theta)) + 1e-8 * np.eye(12)
-            ones = np.ones(12)
-            mu = (ones @ np.linalg.solve(rmat, y)) \
-                / (ones @ np.linalg.solve(rmat, ones))
-            sigma2 = (y - mu) @ np.linalg.solve(rmat, y - mu) / 12
-            expected = 6.0 * np.log(sigma2) + 0.5 * np.linalg.slogdet(rmat)[1]
-            assert _profile_nll(diffs, y, 1e-8, log_theta) == pytest.approx(
-                expected, rel=1e-12
-            )
+        ones = np.ones(12)
+        for y, log_thetas in cases:
+            for log_theta in log_thetas:
+                rmat = np.exp(-diffs @ np.exp(log_theta)) + 1e-8 * np.eye(12)
+                assert np.linalg.cond(rmat) < 1e5
+                mu = (ones @ np.linalg.solve(rmat, y)) \
+                    / (ones @ np.linalg.solve(rmat, ones))
+                resid = y - mu
+                sigma2 = np.sum(resid * np.linalg.solve(rmat, resid), axis=0) / 12
+                expected = np.sum(6.0 * np.log(sigma2)
+                                  + 0.5 * np.linalg.slogdet(rmat)[1])
+                assert _profile_nll(diffs, y, 1e-8, log_theta) == pytest.approx(
+                    expected, rel=1e-12
+                )
+
+    def test_profile_nll_refusals(self):
+        # coincident inputs without a nugget: R is not positive definite
+        x_dup = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
+        diffs = kriging._sq_diffs(x_dup)
+        assert kriging._cholesky(diffs, np.ones(2), 0.0) is None
+        assert _profile_nll(diffs, np.array([1.0, 1.0, 2.0]), 0.0, np.zeros(2)) == np.inf
+        # near-flat correlations: R factorizes, but its smallest pivot^2 is
+        # within 10 nuggets, so R is numerically singular
+        x_pts = np.linspace(0.0, 1.0, 12)[:, None]
+        diffs = kriging._sq_diffs(x_pts)
+        factor = kriging._cholesky(diffs, np.exp([-6.0]), DEFAULT_NUGGET)
+        assert factor is not None
+        assert np.min(np.diag(factor)) ** 2 <= 10.0 * DEFAULT_NUGGET
+        y = np.column_stack([np.sin(6.0 * x_pts[:, 0]), x_pts[:, 0] ** 2])
+        for data in (y[:, 0], y):
+            assert _profile_nll(diffs, data, DEFAULT_NUGGET, np.array([-6.0])) == np.inf
 
     def test_duplicates_without_nugget(self):
         x_pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
@@ -317,33 +364,71 @@ class TestBlockSearch:
         assert np.array_equal(fit_theta(x_pts, given),
                               fit_theta(x_pts, np.ascontiguousarray(block)))
 
+    @staticmethod
+    def search_inputs(data):
+        if data == "sine":
+            x_pts = np.linspace(0.0, 1.0, 8)[:, None]
+            return x_pts, np.sin(2.0 * np.pi * x_pts[:, 0])
+        return TestBlockSearch.block_inputs()
+
     def test_debug_record_counts(self, caplog):
-        # one record per search; with log-theta bounds (-6, -3) the fit
-        # sits on a bound and near-flat correlations make R numerically
-        # singular, so some evaluations are refused
+        # one record per search. Its counts add up against the same search
+        # run unmemoized: the distinct log-theta scored plus the repeats
+        # answered from memory are all the evaluations, and the rejected
+        # ones are the distinct log-theta that score inf. With log-theta
+        # bounds (-6, -3) the fit sits on a bound and near-flat correlations
+        # make R numerically singular, so some evaluations are refused.
         x_pts, block = self.block_inputs()
+        cases = [(block, FitOptions()),
+                 (block[:, 0], FitOptions(log_theta_bounds=(-6.0, -3.0)))]
         with caplog.at_level(logging.DEBUG, logger="kspod"):
-            fit_theta(x_pts, block)
-            fit_theta(x_pts, block[:, 0], FitOptions(log_theta_bounds=(-6.0, -3.0)))
+            for y, options in cases:
+                fit_theta(x_pts, y, options)
         records = [r for r in caplog.records if r.name == "kspod"]
         assert len(records) == 2
-        for record in records:
-            evaluations, rejected, on_bounds, dims = record.args
-            assert dims == 3 and evaluations > 0
-            assert 0 <= rejected <= evaluations and 0 <= on_bounds <= dims
-        _, rejected, on_bounds, _ = records[1].args
+        for record, (y, options) in zip(records, cases):
+            distinct, repeats, rejected, on_bounds, dims = record.args
+            best_x, _, scored = unmemoized_search(x_pts, y, options)
+            scores = dict(scored)
+            assert distinct == len(scores) and distinct + repeats == len(scored)
+            assert repeats > 0
+            assert rejected == list(scores.values()).count(np.inf)
+            lo, hi = options.log_theta_bounds
+            assert on_bounds == np.sum((best_x <= lo) | (best_x >= hi)) and dims == 3
+        _, _, rejected, on_bounds, _ = records[1].args
         assert rejected > 0 and on_bounds > 0
+
+    @pytest.mark.parametrize("data", ["sine", "block"])
+    def test_matches_unmemoized_search(self, data):
+        # remembering scores changes no decision of the search
+        x_pts, y = self.search_inputs(data)
+        best_x, _, _ = unmemoized_search(x_pts, y)
+        assert np.array_equal(fit_theta(x_pts, y), np.exp(best_x))
+
+    @pytest.mark.parametrize("data", ["sine", "block"])
+    def test_each_theta_factorized_once(self, data, monkeypatch):
+        # the starts revisit length-scales, but each distinct one costs a
+        # single factorization in one fit_theta call
+        x_pts, y = self.search_inputs(data)
+        scored = unmemoized_search(x_pts, y)[2]
+        factorized = []
+        real = kriging._cholesky
+
+        def spy(diffs, theta, nugget):
+            factorized.append(theta.tobytes())
+            return real(diffs, theta, nugget)
+
+        monkeypatch.setattr(kriging, "_cholesky", spy)
+        fit_theta(x_pts, y)
+        assert len(factorized) == len(set(factorized)) == len(dict(scored))
+        assert len(factorized) < len(scored)
 
     @pytest.mark.parametrize("data", ["sine", "block"])
     def test_no_last_step_move_improves(self, data):
         # the search stops when no coordinate move by its last step, 1.5/2^4,
         # lowers the negative likelihood by more than 1e-12; the returned
         # theta must satisfy that, whichever start it came from
-        if data == "sine":
-            x_pts = np.linspace(0.0, 1.0, 8)[:, None]
-            y = np.sin(2.0 * np.pi * x_pts[:, 0])
-        else:
-            x_pts, y = self.block_inputs()
+        x_pts, y = self.search_inputs(data)
         lo, hi = DEFAULT_LOG_THETA_BOUNDS
         diffs = kriging._sq_diffs(x_pts)
         log_theta = np.log(fit_theta(x_pts, y))
