@@ -6,11 +6,12 @@ search in log space run from several fixed start points; the best end point
 is kept. One search serves a single dataset or a block of datasets on the
 same inputs: the block shares one length-scale vector, while each dataset
 keeps its own mean and variance. Every correlation matrix is factorized by
-one LAPACK Cholesky helper. The search scores each distinct length-scale
-vector once, by one whitened triangular solve against the factor; the
-closed-form fit at fixed length-scales solves with the factor instead,
-factorizing each distinct length-scale once and solving its datasets as one
-block. Prediction is the closed-form conditional mean.
+one LAPACK Cholesky helper, and the search and the closed-form fit at
+fixed length-scales share one least-squares step: a whitened triangular
+solve against the factor. The search scores each distinct length-scale
+vector once; the fit factorizes each distinct length-scale once, solves its
+datasets as one block and back-solves their residuals. Prediction is the
+closed-form conditional mean.
 Indicator-vector kriging with one shared isotropic parameter provides
 per-case blending weights whose raw values sum to one identically; the
 parameter is a grid value whose weights keep interpolating while its lower
@@ -198,21 +199,6 @@ def _mean_weights(factor):
     return u, u @ ones
 
 
-def _profile_nll(diffs, y, nugget, log_theta) -> float:
-    """Negative profile log-likelihood of log-theta for one observation block.
-
-    ``diffs`` holds the (n, n, d) squared input differences; ``y`` is one
-    dataset (n,) or q datasets (n, q) sharing the correlation matrix R. Each
-    dataset's mean is profiled by generalized least squares and its variance
-    in closed form, leaving the sum over datasets of
-    n/2 log(sigma2) + 1/2 log det R. Length-scales whose R is not positive
-    definite score inf, as do those whose smallest pivot is dominated by
-    the nugget: R is then numerically singular and the likelihood rewards it
-    spuriously (log det collapses while the nugget hides the residual).
-    """
-    return _whitened_nll(diffs, _ones_block(y), nugget, log_theta)
-
-
 def _ones_block(y):
     """The column-major (n, 1 + q) block [1 | y] of a dataset (n,) or (n, q)."""
     y = y.reshape(y.shape[0], -1)
@@ -222,12 +208,34 @@ def _ones_block(y):
     return block
 
 
-def _whitened_nll(diffs, block, nugget, log_theta) -> float:
-    """_profile_nll of the datasets in ``block`` = [1 | y] from one
-    triangular solve Z = L^-1 block against the lower factor L of R: with
-    v = L^-1 1, each dataset's mean is v'z / v'v and its quadratic form
-    (y - mu)' R^-1 (y - mu) is |z - mu v|^2 (Rasmussen & Williams 2006,
-    Alg. 2.1)."""
+def _gls(factor, block, mu=None):
+    """Generalized least squares of the datasets in ``block`` = [1 | y] by one
+    triangular solve W = L^-1 block against the lower factor L of R: with
+    v = L^-1 1, each dataset's mean is v'z / v'v (or the given ``mu``), its
+    whitened residual z - mu v and its variance |z - mu v|^2 / n (Rasmussen
+    & Williams 2006, Alg. 2.1). Returns mu (q,), sigma2 (q,) and W with the
+    residuals in place of z, column-major. Each dataset's sums run down its
+    own column, so it is fitted exactly as on its own."""
+    white = dtrtrs(factor, block, lower=1)[0]
+    v, resid = white[:, 0], white[:, 1:]
+    if mu is None:
+        mu = np.einsum("n,nq->q", v, resid) / (v @ v)
+    resid -= np.outer(v, mu)
+    return mu, np.einsum("nq,nq->q", resid, resid) / factor.shape[0], white
+
+
+def _profile_nll(diffs, block, nugget, log_theta) -> float:
+    """Negative profile log-likelihood of log-theta for one observation block.
+
+    ``diffs`` holds the (n, n, d) squared input differences; ``block`` is
+    [1 | y] (see _ones_block) of one dataset (n,) or q datasets (n, q)
+    sharing the correlation matrix R. Each dataset's mean and variance are
+    profiled by _gls, leaving the sum over datasets of
+    n/2 log(sigma2) + 1/2 log det R. Length-scales whose R is not positive
+    definite score inf, as do those whose smallest pivot is dominated by
+    the nugget: R is then numerically singular and the likelihood rewards it
+    spuriously (log det collapses while the nugget hides the residual).
+    """
     factor = _cholesky(diffs, np.exp(log_theta), nugget)
     if factor is None:
         return np.inf
@@ -237,10 +245,7 @@ def _whitened_nll(diffs, block, nugget, log_theta) -> float:
         return np.inf
     n = factor.shape[0]
     logdet = 2.0 * np.sum(np.log(pivots))
-    white = dtrtrs(factor, block, lower=1)[0]
-    v, z = white[:, 0], white[:, 1:]
-    resid = z - np.outer(v, (v @ z) / (v @ v))
-    sigma2 = np.maximum(np.einsum("nq,nq->q", resid, resid) / n, 1e-300)
+    sigma2 = np.maximum(_gls(factor, block)[1], 1e-300)
     value = 0.5 * n * np.sum(np.log(sigma2)) + 0.5 * sigma2.size * logdet
     return value if np.isfinite(value) else np.inf
 
@@ -293,7 +298,7 @@ def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
     there by more than 1e-12. Constant data skip the search (every theta
     predicts the constant) and keep theta = 1. Every distinct log-theta the
     starts visit is scored once, by one factorization and one triangular
-    solve (see _whitened_nll); a repeat is answered from memory. Exact
+    solve (see _profile_nll); a repeat is answered from memory. Exact
     duplicate rows with a zero nugget raise IllConditionedError. Each search
     logs one DEBUG record on the "kspod" logger: the distinct length-scale
     vectors scored, the repeats answered from memory, how many distinct ones
@@ -316,7 +321,7 @@ def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
         if key in scores:
             repeats += 1
         else:
-            scores[key] = _whitened_nll(diffs, block, options.nugget, log_theta)
+            scores[key] = _profile_nll(diffs, block, options.nugget, log_theta)
         return scores[key]
 
     lo, hi = options.log_theta_bounds
@@ -366,10 +371,10 @@ def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
     ``theta`` (..., d) and ``y`` (..., n) stack datasets on the shared input
     rows ``x_pts`` (n, d), one per leading index. Each run of equal
     consecutive theta rows (in C order) is factorized once and its datasets
-    solved as one (n, q) block; each dataset's mean is its own dot product,
-    so it is fitted exactly as on its own. Returns the generalized-least-
-    squares mean mu (...), the variance estimate sigma2 (...) and
-    alpha = R^-1 (y - mu) (..., n). A given ``mu`` (one read back from a
+    solved as one (n, q) block by _gls, each fitted exactly as on its own.
+    Returns the generalized-least-squares mean mu (...), the variance
+    estimate sigma2 (...) and alpha = R^-1 (y - mu) = L^-T (z - mu v)
+    (..., n). A given ``mu`` (one read back from a
     file) is used as is, so alpha is rebuilt exactly. Non-finite or
     mis-sized data raise ValueError.
     """
@@ -384,13 +389,12 @@ def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
     sigma2, alpha = np.empty(len(rows)), np.empty(ys.shape)
     for lo, hi in zip(starts, np.r_[starts[1:], len(rows)]):
         factor = _cholesky_or_raise(diffs, rows[lo], nugget)
-        if mu is None:
-            u, one_u = _mean_weights(factor)
-            mu_out[lo:hi] = np.einsum("n,qn->q", u, ys[lo:hi]) / one_u
-        resid = ys[lo:hi].T - mu_out[lo:hi]
-        block = dpotrs(factor, resid, lower=1)[0]
-        alpha[lo:hi] = block.T
-        sigma2[lo:hi] = np.maximum(np.einsum("nq,nq->q", resid, block) / n, 0.0)
+        given = None if mu is None else mu_out[lo:hi]
+        mu_out[lo:hi], sigma2[lo:hi], white = _gls(
+            factor, _ones_block(ys[lo:hi].T), given)
+        # v rides along, so each residual is back-solved in a block of at
+        # least two columns and rounds as it does in any other block
+        alpha[lo:hi] = dtrtrs(factor, white, lower=1, trans=1)[0][:, 1:].T
     return mu_out.reshape(lead), sigma2.reshape(lead), alpha.reshape(y.shape)
 
 

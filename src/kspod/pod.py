@@ -136,12 +136,10 @@ def decompose(snapshots, centering: bool = True, weights=None) -> PODBasis:
     mean = fld.mean(axis=1) if centering else None
     fluct = fld - mean[:, None] if centering else fld
 
-    if weights is None:
-        # one symmetric (syrk) product, exactly symmetric as it stands
-        gram = fluct.T @ fluct
-    else:
-        gram = fluct.T @ (w[:, None] * fluct)
-        gram = 0.5 * (gram + gram.T)
+    # G = F' W F as one symmetric (syrk) product of sqrt(W) F with itself,
+    # exactly symmetric as it stands
+    root = fluct if weights is None else np.sqrt(w)[:, None] * fluct
+    gram = root.T @ root
     evals, evecs = np.linalg.eigh(gram)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]

@@ -1,16 +1,15 @@
 import dataclasses
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kspod
-from kspod._binio import Writer
 from kspod.emulator import (
     TrainOptions,
     _assemble,
-    _blend,
     _normalize_raw,
     load_model,
     nw_weights,
@@ -358,9 +357,10 @@ class TestPrediction:
     @pytest.mark.parametrize("indices", [None, [0], [7], [3, 9, 2]])
     def test_field_column_major_and_written_without_copy(
             self, request, desk_setup, tmp_path, fixture, indices):
-        # the column-major field equals the row-major (J, K [+1]) times
-        # (K [+1], m) recombination bit for bit, the KSPD1 writer queues it
-        # without a copy, and a written history reads back the same bits
+        # the field comes back column-major, as KSPD1 stores it, and equals
+        # the row-major (J, K [+1]) times (K [+1], m) recombination within
+        # the two products' rounding bound; writing a full-history
+        # prediction makes no copy of its field and reads back bit for bit
         model = request.getfixturevalue(fixture)
         x = desk_setup["ranges"].scale(np.array([0.41, 0.63, 0.28]))
         fld = predict_field(model, x, indices)
@@ -369,13 +369,20 @@ class TestPrediction:
         if model.centering:
             beta = np.vstack((beta, np.ones(beta.shape[1])))
         w = weight_vector(model, x).normalized
-        assert np.array_equal(fld, _blend(model, w).T @ beta)
-        writer = Writer("KSPD1")
-        writer.f64(fld, order="F")
-        assert np.shares_memory(writer._sections[-1], fld)
+        blend = np.einsum("n,nkj->kj", w, model.library)
+        bound = np.einsum("n,nkj->jk", np.abs(w), np.abs(model.library)) @ np.abs(beta)
+        ulps = 4 * (w.size + beta.shape[0]) * np.finfo(float).eps
+        assert np.all(np.abs(fld - blend.T @ beta) <= ulps * bound)
+        snapshots = predict_snapshots(model, x)
         path = tmp_path / "predicted.kspd"
-        write_dataset(predict_snapshots(model, x), path)
-        assert np.array_equal(read_dataset(path).field, predict_field(model, x))
+        tracemalloc.start()
+        try:
+            write_dataset(snapshots, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < snapshots.field.nbytes // 2
+        assert np.array_equal(read_dataset(path).field, snapshots.field)
 
     def test_sign_flip_robustness(self, small_cases, desk_setup):
         options = TrainOptions(ranges=desk_setup["ranges"], num_modes=2)

@@ -25,6 +25,7 @@ from kspod.kriging import (
     predict,
     read_model,
     write_model,
+    _ones_block,
     _profile_nll,
 )
 
@@ -66,9 +67,9 @@ def unmemoized_search(x_pts, y, options=FitOptions()):
     scored = []
 
     def objective(log_theta):
-        scored.append((log_theta.tobytes(),
-                       _profile_nll(diffs, y, options.nugget, log_theta)))
-        return scored[-1][1]
+        score = _profile_nll(diffs, _ones_block(y), options.nugget, log_theta)
+        scored.append((log_theta.tobytes(), score))
+        return score
 
     best_x, best_f = min(
         (kriging._coordinate_search(objective, x0, lo, hi)
@@ -159,7 +160,7 @@ class TestFitAndPredict:
         diffs = (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
 
         def objective(log_theta):
-            return _profile_nll(diffs, y, model.params.nugget, log_theta)
+            return _profile_nll(diffs, _ones_block(y), model.params.nugget, log_theta)
 
         fitted = objective(np.log(model.params.theta))
         probes = rng.uniform(-6.0, 6.0, size=(32, 2))
@@ -186,7 +187,8 @@ class TestFitAndPredict:
                 sigma2 = np.sum(resid * np.linalg.solve(rmat, resid), axis=0) / 12
                 expected = np.sum(6.0 * np.log(sigma2)
                                   + 0.5 * np.linalg.slogdet(rmat)[1])
-                assert _profile_nll(diffs, y, 1e-8, log_theta) == pytest.approx(
+                block = _ones_block(y)
+                assert _profile_nll(diffs, block, 1e-8, log_theta) == pytest.approx(
                     expected, rel=1e-12
                 )
 
@@ -195,7 +197,8 @@ class TestFitAndPredict:
         x_dup = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
         diffs = kriging._sq_diffs(x_dup)
         assert kriging._cholesky(diffs, np.ones(2), 0.0) is None
-        assert _profile_nll(diffs, np.array([1.0, 1.0, 2.0]), 0.0, np.zeros(2)) == np.inf
+        block = _ones_block(np.array([1.0, 1.0, 2.0]))
+        assert _profile_nll(diffs, block, 0.0, np.zeros(2)) == np.inf
         # near-flat correlations: R factorizes, but its smallest pivot^2 is
         # within 10 nuggets, so R is numerically singular
         x_pts = np.linspace(0.0, 1.0, 12)[:, None]
@@ -205,7 +208,8 @@ class TestFitAndPredict:
         assert np.min(np.diag(factor)) ** 2 <= 10.0 * DEFAULT_NUGGET
         y = np.column_stack([np.sin(6.0 * x_pts[:, 0]), x_pts[:, 0] ** 2])
         for data in (y[:, 0], y):
-            assert _profile_nll(diffs, data, DEFAULT_NUGGET, np.array([-6.0])) == np.inf
+            block = _ones_block(data)
+            assert _profile_nll(diffs, block, DEFAULT_NUGGET, np.array([-6.0])) == np.inf
 
     def test_duplicates_without_nugget(self):
         x_pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
@@ -262,13 +266,13 @@ class TestCholeskyPath:
             return call
 
         monkeypatch.setattr(kriging, "_cholesky", counted("factor", kriging._cholesky))
-        monkeypatch.setattr(kriging, "dpotrs", counted("solve", kriging.dpotrs))
+        monkeypatch.setattr(kriging, "dtrtrs", counted("solve", kriging.dtrtrs))
         mu, sigma2, alpha = fit_fixed(x_pts, theta, y, DEFAULT_NUGGET)
-        # four runs, each with its mean-weight solve and one block solve
+        # four runs, each with one forward and one back block solve
         assert calls == {"factor": 4, "solve": 8}
         assert np.array_equal(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, mu)[2], alpha)
-        # a given mu needs no mean weights
-        assert calls == {"factor": 8, "solve": 12}
+        # a given mu takes the same solves
+        assert calls == {"factor": 8, "solve": 16}
         for i in np.ndindex(3, 4):
             one = fit_fixed(x_pts, theta[i], y[i], DEFAULT_NUGGET)
             assert all(np.array_equal(a, b[i]) for a, b in zip(one, (mu, sigma2, alpha)))
@@ -339,7 +343,7 @@ class TestBlockSearch:
         diffs = kriging._sq_diffs(x_pts)
 
         def block_nll(th):
-            return _profile_nll(diffs, block, DEFAULT_NUGGET, np.log(th))
+            return _profile_nll(diffs, _ones_block(block), DEFAULT_NUGGET, np.log(th))
 
         own = [fit_theta(x_pts, y) for y in block.T]
         assert not any(np.array_equal(theta, t) for t in own)
@@ -430,9 +434,9 @@ class TestBlockSearch:
         # theta must satisfy that, whichever start it came from
         x_pts, y = self.search_inputs(data)
         lo, hi = DEFAULT_LOG_THETA_BOUNDS
-        diffs = kriging._sq_diffs(x_pts)
+        diffs, block = kriging._sq_diffs(x_pts), _ones_block(y)
         log_theta = np.log(fit_theta(x_pts, y))
-        best = _profile_nll(diffs, y, DEFAULT_NUGGET, log_theta)
+        best = _profile_nll(diffs, block, DEFAULT_NUGGET, log_theta)
         moves = 0
         for k in range(log_theta.size):
             for sign in (1.0, -1.0):
@@ -441,7 +445,7 @@ class TestBlockSearch:
                 if trial[k] == log_theta[k]:
                     continue
                 moves += 1
-                assert _profile_nll(diffs, y, DEFAULT_NUGGET, trial) >= best - 1e-12
+                assert _profile_nll(diffs, block, DEFAULT_NUGGET, trial) >= best - 1e-12
         assert moves > 0
 
 
