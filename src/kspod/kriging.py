@@ -374,9 +374,8 @@ def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
     solved as one (n, q) block by _gls, each fitted exactly as on its own.
     Returns the generalized-least-squares mean mu (...), the variance
     estimate sigma2 (...) and alpha = R^-1 (y - mu) = L^-T (z - mu v)
-    (..., n). A given ``mu`` (one read back from a
-    file) is used as is, so alpha is rebuilt exactly. Non-finite or
-    mis-sized data raise ValueError.
+    (..., n). A given ``mu`` (one read back from a file) is used as is, so
+    alpha is rebuilt exactly. Non-finite or mis-sized data raise ValueError.
     """
     x_pts, (y,) = _checked(x_pts, [y], axis=-1)
     (n, d), lead = x_pts.shape, y.shape[:-1]
