@@ -28,7 +28,6 @@ from .emulator import (
     TrainOptions,
     WeightVector,
     load_model,
-    nw_weights,
     predict_coefficients,
     predict_field,
     predict_modes,

@@ -46,7 +46,6 @@ __all__ = [
     "TrainOptions",
     "WeightVector",
     "load_model",
-    "nw_weights",
     "predict_coefficients",
     "predict_field",
     "predict_modes",
@@ -127,31 +126,36 @@ class EmulatorModel:
     """Trained emulator: the aligned case library and the coefficient and
     weight models, all held as arrays.
 
-    ``library`` is one C-contiguous case-major stack (n, K + 1, J): per case
-    the K aligned modes as rows (``modes.T``), then the mean field, which is
-    absent without centering. ``eigenvalues`` (n, K) and ``coefficients``
-    (K, m, n) are the cases' retained POD eigenvalues and aligned temporal
-    coefficients. Prediction blends every library row with one product and
-    recombines with the blended mean row as the coefficient 1.
+    The fields are exactly what a KSEM1 file stores. ``library`` is one
+    C-contiguous case-major stack (n, K + 1, J): per case the K aligned modes
+    as rows (``modes.T``), then the mean field, which is absent without
+    centering. ``eigenvalues`` (n, K) and ``coefficients`` (K, m, n) are the
+    cases' retained POD eigenvalues and aligned temporal coefficients.
+    Prediction blends every library row with one product and recombines with
+    the blended mean row as the coefficient 1.
 
     The coefficient GP of mode k at time-step q, on normalized inputs, has
-    length-scales ``coeff_theta[k, q]``, mean ``coeff_mu[k, q]``, variance
-    ``coeff_sigma2[k, q]`` and weights ``coeff_alpha[k, q] = R^-1 (y - mu)``.
-    Training repeats each mode's length-scale across time-steps; the (K, m, d)
-    layout also holds the per-(mode, time-step) length-scales of older files.
+    length-scales ``coeff_theta[k, q]``, mean ``coeff_mu[k, q]`` and variance
+    ``coeff_sigma2[k, q]``. Training repeats each mode's length-scale across
+    time-steps; the (K, m, d) layout also holds the per-(mode, time-step)
+    length-scales of older files. ``options_record`` carries the indicator
+    weight parameter ``weight_theta`` and the ``nugget``.
+
+    Everything else is derived from the fields, here and only here, so a
+    model and its saved-and-loaded copy predict alike: ``rank`` (K), the
+    weights ``coeff_alpha[k, q] = R^-1 (y - mu)`` (K, m, n) rebuilt from the
+    stored means, the isotropic ``weight_params`` and the factorized
+    indicator kriging on the unit-cube design.
     """
 
     design: np.ndarray        # (n, d) physical design points
     ranges: DesignRanges
-    rank: int
     library: np.ndarray       # (n, K [+ 1], J) modes as rows, then the mean
     eigenvalues: np.ndarray   # (n, K)
     coefficients: np.ndarray  # (K, m, n)
     coeff_theta: np.ndarray   # (K, m, d)
     coeff_mu: np.ndarray      # (K, m)
     coeff_sigma2: np.ndarray  # (K, m)
-    coeff_alpha: np.ndarray   # (K, m, n)
-    weight_params: CorrelationParams
     grid: np.ndarray          # (J, 2)
     times: np.ndarray         # (m,)
     centering: bool
@@ -165,8 +169,19 @@ class EmulatorModel:
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         unit = self.ranges.normalize(design)
+        nugget = self.options_record["nugget"]
+        weight_params = CorrelationParams.isotropic(
+            self.options_record["weight_theta"], design.shape[1], nugget)
+        _, _, alpha = fit_fixed(unit, self.coeff_theta, self.coefficients,
+                                nugget, self.coeff_mu)
+        object.__setattr__(self, "coeff_alpha", alpha)
+        object.__setattr__(self, "weight_params", weight_params)
         object.__setattr__(self, "_design_unit", unit)
-        object.__setattr__(self, "_indicator", IndicatorKriging(unit, self.weight_params))
+        object.__setattr__(self, "_indicator", IndicatorKriging(unit, weight_params))
+
+    @property
+    def rank(self) -> int:
+        return self.eigenvalues.shape[1]
 
     @property
     def n_cases(self) -> int:
@@ -273,7 +288,7 @@ def _assemble(design, bases, ref_case: SnapshotSet,
     theta = np.repeat([[fit_theta(unit, coeff_tensor[:, :, k], options.fit_options)]
                        for k in range(k_rank)], coeff_tensor.shape[1], axis=1)
     coefficients = np.ascontiguousarray(coeff_tensor.transpose(2, 1, 0))
-    mu, sigma2, alpha = fit_fixed(unit, theta, coefficients, options.nugget)
+    mu, sigma2, _ = fit_fixed(unit, theta, coefficients, options.nugget)
     library = np.empty((len(aligned), k_rank + options.centering, ref_case.num_points))
     for rows, basis in zip(library, aligned):
         rows[:k_rank] = basis.modes.T
@@ -285,9 +300,6 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         theta_w = fit_indicator_theta(
             unit, options.nugget, options.log_theta_bounds
         )
-    weight_params = CorrelationParams.isotropic(
-        theta_w, design.shape[1], options.nugget
-    )
 
     record = {
         "energy_threshold": options.energy_threshold,
@@ -302,15 +314,12 @@ def _assemble(design, bases, ref_case: SnapshotSet,
     return EmulatorModel(
         design=design,
         ranges=ranges,
-        rank=k_rank,
         library=library,
         eigenvalues=np.stack([b.eigenvalues for b in aligned]),
         coefficients=coefficients,
         coeff_theta=theta,
         coeff_mu=mu,
         coeff_sigma2=sigma2,
-        coeff_alpha=alpha,
-        weight_params=weight_params,
         grid=ref_case.grid,
         times=ref_case.times,
         centering=options.centering,
@@ -342,16 +351,6 @@ def _normalize_raw(raw: np.ndarray, x_new) -> np.ndarray:
 def weight_vector(model: EmulatorModel, x_new) -> WeightVector:
     """Indicator-kriging blending weights of the training cases at x_new."""
     raw = model._indicator.weights(_normalize_query(model, x_new))
-    return WeightVector(raw, _normalize_raw(raw, x_new))
-
-
-def nw_weights(model: EmulatorModel, x_new, theta: float) -> WeightVector:
-    """Gaussian-kernel smoother weights: the large-theta, dense-design limit
-    of the indicator-kriging weights, on normalized design coordinates."""
-    if not np.isfinite(theta) or theta <= 0.0:
-        raise ValueError("theta must be positive")
-    xu = _normalize_query(model, x_new)
-    raw = np.exp(-theta * np.sum((model._design_unit - xu) ** 2, axis=1))
     return WeightVector(raw, _normalize_raw(raw, x_new))
 
 
@@ -500,9 +499,6 @@ def load_model(path) -> EmulatorModel:
             "and finite, and the nugget finite and nonnegative"
         )
 
-    coefficients = np.ascontiguousarray(case_coeffs.transpose(1, 2, 0))
-    _, _, alpha = fit_fixed(ranges.normalize(design), theta, coefficients, nugget, mu)
-
     record = {
         "energy_threshold": None if np.isnan(thr) else float(thr),
         "num_modes": int(explicit_k) or None,
@@ -516,17 +512,12 @@ def load_model(path) -> EmulatorModel:
     return EmulatorModel(
         design=design,
         ranges=ranges,
-        rank=int(k_rank),
         library=library,
         eigenvalues=eigenvalues,
-        coefficients=coefficients,
+        coefficients=np.ascontiguousarray(case_coeffs.transpose(1, 2, 0)),
         coeff_theta=theta,
         coeff_mu=mu,
         coeff_sigma2=sigma2,
-        coeff_alpha=alpha,
-        weight_params=CorrelationParams.isotropic(
-            float(weight_theta), int(d), float(nugget)
-        ),
         grid=grid,
         times=times,
         centering=centering,

@@ -192,13 +192,6 @@ def _cholesky_or_raise(diffs, theta, nugget):
     return factor
 
 
-def _mean_weights(factor):
-    """u = R^-1 1 and 1'u from the lower Cholesky factor of R."""
-    ones = np.ones(factor.shape[0])
-    u = dpotrs(factor, ones, lower=1)[0]
-    return u, u @ ones
-
-
 def _ones_block(y):
     """The column-major (n, 1 + q) block [1 | y] of a dataset (n,) or (n, q)."""
     y = y.reshape(y.shape[0], -1)
@@ -220,7 +213,9 @@ def _gls(factor, block, mu=None):
     v, resid = white[:, 0], white[:, 1:]
     if mu is None:
         mu = np.einsum("n,nq->q", v, resid) / (v @ v)
-    resid -= np.outer(v, mu)
+    # the transposed outer product is column-major like resid, so the
+    # subtraction runs in memory order
+    resid -= np.outer(mu, v).T
     return mu, np.einsum("nq,nq->q", resid, resid) / factor.shape[0], white
 
 
@@ -429,8 +424,9 @@ class IndicatorKriging:
         self.theta = params.theta
         self._factor = _cholesky_or_raise(_sq_diffs(self.x_pts), params.theta,
                                           params.nugget)
-        u, one_u = _mean_weights(self._factor)
-        self._mu = u / one_u
+        ones = np.ones(self.x_pts.shape[0])
+        u = dpotrs(self._factor, ones, lower=1)[0]
+        self._mu = u / (u @ ones)
 
     def weights(self, x_new) -> np.ndarray:
         """Raw weights of the n inputs (see indicator_weights), (n,) at a query

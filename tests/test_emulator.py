@@ -12,7 +12,6 @@ from kspod.emulator import (
     _assemble,
     _normalize_raw,
     load_model,
-    nw_weights,
     predict_coefficients,
     predict_field,
     predict_modes,
@@ -26,7 +25,7 @@ from kspod.errors import (
     IncompatibleCasesError,
     NonFiniteDataError,
 )
-from kspod.kriging import CorrelationParams, FitOptions, fit_fixed, fit_theta, indicator_weights
+from kspod.kriging import FitOptions, fit_fixed, fit_theta
 from kspod.pod import PODBasis, decompose, reconstruct, truncate
 from kspod.snapshots import SnapshotSet, read_dataset, write_dataset
 from test_kriging import dense_predict
@@ -163,49 +162,6 @@ class TestWeights:
     def test_degenerate_sum_raises(self):
         with pytest.raises(DegenerateWeightsError):
             _normalize_raw(np.array([0.5, -0.5 + 1e-9]), [0.0])
-
-    def test_nw_symmetric_pair(self):
-        cases = [
-            analytic_case(2.0, 1.0, [0.25], "a"),
-            analytic_case(2.5, 1.0, [0.75], "b"),
-        ]
-        model = train(cases, TrainOptions(centering=False, num_modes=1))
-        w = nw_weights(model, [0.5], theta=3.0)
-        assert np.allclose(w.normalized, [0.5, 0.5], atol=1e-12)
-
-    def test_nw_hand_values(self):
-        cases = [
-            analytic_case(2.0, 1.0, [0.0], "a"),
-            analytic_case(2.5, 1.0, [1.0], "b"),
-        ]
-        model = train(cases, TrainOptions(centering=False, num_modes=1))
-        w = nw_weights(model, [0.0], theta=1.0)
-        assert np.allclose(w.raw, [1.0, np.exp(-1.0)], atol=1e-12)
-        expected = np.array([1.0, np.exp(-1.0)])
-        expected /= expected.sum()
-        assert np.allclose(w.normalized, expected, atol=1e-12)
-        assert w.normalized[0] == pytest.approx(0.7311, abs=1e-4)
-        assert w.normalized[1] == pytest.approx(0.2689, abs=1e-4)
-
-    def test_nw_requires_positive_theta(self, small_model):
-        with pytest.raises(ValueError):
-            nw_weights(small_model, small_model.design[0], theta=0.0)
-
-    def test_nw_matches_indicator_in_kernel_limit(self):
-        corners = np.array([[float(b) for b in f"{i:03b}"] for i in range(8)])
-        cases = [
-            analytic_case(2.0 + 0.1 * i, 1.0, corner, f"c{i}")
-            for i, corner in enumerate(corners)
-        ]
-        model = train(cases, TrainOptions(centering=False, num_modes=1))
-        params = CorrelationParams.isotropic(50.0, 3)
-        for j in (0, 3, 6):
-            probe = corners[j] + (0.015 if j % 2 == 0 else -0.015)
-            w_nw = nw_weights(model, probe, theta=50.0).raw
-            w_ind = indicator_weights(corners, params, probe)
-            comparable = w_nw > 1e-6
-            rel = np.abs(w_nw[comparable] - w_ind[comparable]) / w_nw[comparable]
-            assert rel.max() < 0.01
 
 
 class TestPrediction:
@@ -472,6 +428,28 @@ class TestSerialization:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_replaced_model_predicts_as_its_reload(self, small_model, desk_setup,
+                                                   tmp_path):
+        # the coefficient weights, the weight parameters and the rank are
+        # derived from the stored fields, so a changed field changes them
+        # alike in the model and in its saved-and-loaded copy
+        changed = [
+            dataclasses.replace(small_model, coeff_theta=2.0 * small_model.coeff_theta),
+            dataclasses.replace(small_model, options_record={
+                **small_model.options_record, "weight_theta": 2.0}),
+        ]
+        probe = desk_setup["ranges"].scale(np.array([0.3, 0.6, 0.9]))
+        base = predict_field(small_model, probe)
+        for i, model in enumerate(changed):
+            path = tmp_path / f"{i}.ksem"
+            save_model(model, path)
+            pred = predict_field(model, probe)
+            assert not np.array_equal(pred, base)
+            assert np.array_equal(pred, predict_field(load_model(path), probe))
+        for derived in ("rank", "weight_params", "coeff_alpha"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(small_model, **{derived: getattr(small_model, derived)})
+
     def test_per_step_theta_file(self, small_model, desk_setup, tmp_path):
         # a file whose theta was searched per (mode, time-step), as older
         # writers stored it: the header's eighth word is 0 and must survive
@@ -480,10 +458,9 @@ class TestSerialization:
         theta = np.array([[fit_theta(unit, y) for y in mode] for mode in coeffs])
         assert not np.array_equal(theta, np.broadcast_to(theta[:, :1], theta.shape))
         nugget = small_model.options_record["nugget"]
-        mu, sigma2, alpha = fit_fixed(unit, theta, coeffs, nugget)
+        mu, sigma2, _ = fit_fixed(unit, theta, coeffs, nugget)
         per_step = dataclasses.replace(
             small_model, coeff_theta=theta, coeff_mu=mu, coeff_sigma2=sigma2,
-            coeff_alpha=alpha,
             options_record={**small_model.options_record, "shared_theta": False})
         p1, p2 = tmp_path / "a.ksem", tmp_path / "b.ksem"
         save_model(per_step, p1)
