@@ -5,11 +5,11 @@ to physical design ranges, the swirl geometric constant, and inlet-velocity
 cluster assignment, plus CSV serialization of design matrices.
 """
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 __all__ = [
     "Cluster",
@@ -30,6 +30,8 @@ __all__ = [
 
 # Swap-improvement budget for the maximin pass of generate_slhd.
 _MAXIMIN_ATTEMPTS = 1000
+
+_log = logging.getLogger("kspod")
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,13 @@ def generate_slhd(s: int, q: int, d: int, seed: int) -> DesignMatrix:
     Coordinates sit at fine-bin centers. A fixed budget of random same-slice
     coordinate swaps then greedily improves the maximin distance of the
     union; swaps within a slice preserve both stratification properties.
+    The pass is incremental: it keeps the squared distance of every pair,
+    recomputes only the two moved points' rows for a swap, and skips a
+    swap outright when a closest pair involves neither point, since that
+    swap cannot raise the minimum. The designs are bit for bit those of
+    recomputing every distance per swap. One DEBUG record on the ``kspod``
+    logger gives the attempts, the accepted and skipped swaps and the final
+    minimum squared distance.
 
     Deterministic for a fixed seed.
     """
@@ -224,17 +233,39 @@ def _maximin_swap_pass(points: np.ndarray, s: int, q: int,
                        rng: np.random.Generator) -> np.ndarray:
     pts = points.copy()
     d = pts.shape[1]
-    best = pdist(pts, "sqeuclidean").min()
+    # squared distances of every pair, inf on the diagonal; a swap moves
+    # only points i and j, so only their rows and columns change
+    dist = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    best = dist.min()
+    closest = np.argwhere(dist == best)
+    accepted = skipped = 0
     for _ in range(_MAXIMIN_ATTEMPTS):
         k = int(rng.integers(d))
         l = int(rng.integers(s))
         i, j = rng.choice(q, size=2, replace=False) + l * q
+        if ((closest != i) & (closest != j)).all(axis=1).any():
+            # a closest pair without i or j keeps the minimum where it is
+            skipped += 1
+            continue
+        rows = dist[[i, j]]
         pts[i, k], pts[j, k] = pts[j, k], pts[i, k]
-        cand = pdist(pts, "sqeuclidean").min()
+        moved = ((pts[[i, j], None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+        moved[0, i] = moved[1, j] = np.inf
+        dist[[i, j]] = moved
+        dist[:, [i, j]] = moved.T
+        cand = dist.min()
         if cand > best:
             best = cand
+            closest = np.argwhere(dist == best)
+            accepted += 1
         else:
             pts[i, k], pts[j, k] = pts[j, k], pts[i, k]
+            dist[[i, j]] = rows
+            dist[:, [i, j]] = rows.T
+    _log.debug("maximin pass: %d attempts, %d swaps accepted, %d skipped by "
+               "the closest-pair test, min squared distance %.6g",
+               _MAXIMIN_ATTEMPTS, accepted, skipped, best)
     return pts
 
 

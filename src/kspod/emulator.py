@@ -16,7 +16,9 @@ squared-exponential correlation is not scale-invariant.
 
 import hashlib
 import warnings
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -145,7 +147,10 @@ class EmulatorModel:
     model and its saved-and-loaded copy predict alike: ``rank`` (K), the
     weights ``coeff_alpha[k, q] = R^-1 (y - mu)`` (K, m, n) rebuilt from the
     stored means, the isotropic ``weight_params`` and the factorized
-    indicator kriging on the unit-cube design.
+    indicator kriging on the unit-cube design. The stored arrays and
+    ``coeff_alpha`` are read-only and ``options_record`` is a read-only
+    mapping, so no field can change under the state derived from it; a
+    changed model is a new one (``dataclasses.replace``).
     """
 
     design: np.ndarray        # (n, d) physical design points
@@ -159,25 +164,36 @@ class EmulatorModel:
     grid: np.ndarray          # (J, 2)
     times: np.ndarray         # (m,)
     centering: bool
-    options_record: dict
+    options_record: Mapping
     variable: str = "field"
     units: str = ""
 
     def __post_init__(self):
-        design = np.atleast_2d(np.asarray(self.design, dtype=float))
-        object.__setattr__(self, "design", design)
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        unit = self.ranges.normalize(design)
+        object.__setattr__(self, "design", np.atleast_2d(self.design))
+        for name in ("design", "library", "eigenvalues", "coefficients", "coeff_theta",
+                     "coeff_mu", "coeff_sigma2", "grid", "times"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "options_record", MappingProxyType(dict(self.options_record)))
+        unit = self.ranges.normalize(self.design)
         nugget = self.options_record["nugget"]
         weight_params = CorrelationParams.isotropic(
-            self.options_record["weight_theta"], design.shape[1], nugget)
+            self.options_record["weight_theta"], self.dims, nugget)
         _, _, alpha = fit_fixed(unit, self.coeff_theta, self.coefficients,
                                 nugget, self.coeff_mu)
+        alpha.flags.writeable = False
         object.__setattr__(self, "coeff_alpha", alpha)
         object.__setattr__(self, "weight_params", weight_params)
         object.__setattr__(self, "_design_unit", unit)
         object.__setattr__(self, "_indicator", IndicatorKriging(unit, weight_params))
+
+    def __reduce__(self):
+        # a read-only mapping does not pickle: a copy is rebuilt from the
+        # stored fields with the record as a dict, and derives the rest anew
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["options_record"] = dict(self.options_record)
+        return type(self), tuple(values.values())
 
     @property
     def rank(self) -> int:

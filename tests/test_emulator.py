@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import struct
 import tracemalloc
 from pathlib import Path
@@ -449,6 +450,31 @@ class TestSerialization:
         for derived in ("rank", "weight_params", "coeff_alpha"):
             with pytest.raises(TypeError):
                 dataclasses.replace(small_model, **{derived: getattr(small_model, derived)})
+
+    def test_stored_fields_are_read_only(self, small_model):
+        # an in-place write would leave the derived weights behind, and a
+        # save would then write values the model does not predict with
+        with pytest.raises(TypeError):
+            small_model.options_record["weight_theta"] = 2.0
+        with pytest.raises(ValueError):
+            small_model.coeff_theta[...] *= 2
+        for name in ("design", "library", "eigenvalues", "coefficients",
+                     "coeff_theta", "coeff_mu", "coeff_sigma2", "grid",
+                     "times", "coeff_alpha"):
+            assert not getattr(small_model, name).flags.writeable, name
+        record = {**small_model.options_record, "weight_theta": 2.0}
+        assert record["nugget"] == small_model.options_record["nugget"]
+
+    def test_pickle_round_trip(self, small_model, desk_setup):
+        copy = pickle.loads(pickle.dumps(small_model))
+        assert copy.options_record == small_model.options_record
+        assert np.array_equal(copy.coeff_alpha, small_model.coeff_alpha)
+        assert not copy.coeff_theta.flags.writeable
+        with pytest.raises(TypeError):
+            copy.options_record["nugget"] = 0.0
+        probe = desk_setup["ranges"].scale(np.array([0.3, 0.6, 0.9]))
+        assert np.array_equal(predict_field(copy, probe),
+                              predict_field(small_model, probe))
 
     def test_per_step_theta_file(self, small_model, desk_setup, tmp_path):
         # a file whose theta was searched per (mode, time-step), as older

@@ -460,6 +460,18 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.strip() == "False"
 
 
+def test_import_leaves_scipy_spatial_and_sparse_unloaded():
+    # the maximin pass computes its distances with numpy; scipy serves
+    # only LAPACK, and scipy.spatial would pull in scipy.sparse
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, kspod; "
+            "print(sorted({'scipy.spatial', 'scipy.sparse'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestIndicatorWeights:
     def test_unit_vectors_at_training_points(self):
         rng = np.random.default_rng(6)
