@@ -235,7 +235,7 @@ def _maximin_swap_pass(points: np.ndarray, s: int, q: int,
     d = pts.shape[1]
     # squared distances of every pair, inf on the diagonal; a swap moves
     # only points i and j, so only their rows and columns change
-    dist = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    dist = _sq_dists(pts, pts)
     np.fill_diagonal(dist, np.inf)
     best = dist.min()
     closest = np.argwhere(dist == best)
@@ -250,7 +250,7 @@ def _maximin_swap_pass(points: np.ndarray, s: int, q: int,
             continue
         rows = dist[[i, j]]
         pts[i, k], pts[j, k] = pts[j, k], pts[i, k]
-        moved = ((pts[[i, j], None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+        moved = _sq_dists(pts[[i, j]], pts)
         moved[0, i] = moved[1, j] = np.inf
         dist[[i, j]] = moved
         dist[:, [i, j]] = moved.T
@@ -267,6 +267,12 @@ def _maximin_swap_pass(points: np.ndarray, s: int, q: int,
                "the closest-pair test, min squared distance %.6g",
                _MAXIMIN_ATTEMPTS, accepted, skipped, best)
     return pts
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # summed one dimension at a time, in order, as scipy's pdist sums: the
+    # same bits for any d, and no (len(a), len(b), d) temporary
+    return sum((a[:, None, k] - b[None, :, k]) ** 2 for k in range(a.shape[1]))
 
 
 def _as_points(design) -> np.ndarray:

@@ -44,6 +44,19 @@ def check_slhd(design):
             assert occupied_bins(sub[:, k], q) == set(range(q))
 
 
+def unimproved_slhd(s, q, d, rng):
+    """A sliced Latin hypercube before any maximin swap, at bin centers."""
+    n = s * q
+    values = np.empty((n, d))
+    for k in range(d):
+        # dealt[b, l] = fine bin of coarse block b that slice l receives
+        dealt = np.arange(q)[:, None] * s + rng.permuted(
+            np.tile(np.arange(s), (q, 1)), axis=1)
+        for l in range(s):
+            values[l * q:(l + 1) * q, k] = rng.permutation(dealt[:, l])
+    return (values + 0.5) / n
+
+
 def pdist_swap_pass(points, s, q, rng):
     """Reference maximin pass: every pair distance recomputed per swap."""
     pts = points.copy()
@@ -130,14 +143,20 @@ class TestGenerateSlhd:
 
     @pytest.mark.parametrize("s,q,d", [
         (5, 6, 3), (8, 10, 3), (1, 8, 3), (6, 2, 3), (5, 6, 1), (5, 6, 5),
+        (2, 5, 8), (3, 4, 10),
     ])
     def test_maximin_pass_matches_full_recomputation(self, s, q, d):
+        # from an unimproved design many swaps are tried, kept and undone;
+        # from a finished one most attempts are skipped
         for seed in range(3):
-            start = generate_slhd(s, q, d, seed=seed).points
-            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(_maximin_swap_pass(start, s, q, fast),
-                                  pdist_swap_pass(start, s, q, slow))
-            assert fast.bit_generator.state == slow.bit_generator.state
+            raw = unimproved_slhd(s, q, d, np.random.default_rng(seed))
+            check_slhd(DesignMatrix(raw, np.repeat(np.arange(1, s + 1), q)))
+            for start in (raw, generate_slhd(s, q, d, seed=seed).points):
+                fast = np.random.default_rng(seed)
+                slow = np.random.default_rng(seed)
+                assert np.array_equal(_maximin_swap_pass(start, s, q, fast),
+                                      pdist_swap_pass(start, s, q, slow))
+                assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_maximin_pass_logs_its_counts(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="kspod"):

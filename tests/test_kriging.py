@@ -462,11 +462,15 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 def test_import_leaves_scipy_spatial_and_sparse_unloaded():
     # the maximin pass computes its distances with numpy; scipy serves
-    # only LAPACK, and scipy.spatial would pull in scipy.sparse
+    # only LAPACK, and scipy.spatial would pull in scipy.sparse. Older
+    # scipy.linalg packages import scipy.sparse themselves, so only what
+    # kspod loads beyond scipy.linalg.lapack counts.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = ("import sys, kspod; "
-            "print(sorted({'scipy.spatial', 'scipy.sparse'} & set(sys.modules)))")
+    code = ("import sys, scipy.linalg.lapack; "
+            "pre = lambda: {m for m in sys.modules "
+            "if m.startswith(('scipy.spatial', 'scipy.sparse'))}; "
+            "base = pre(); import kspod; print(sorted(pre() - base))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
