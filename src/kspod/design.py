@@ -11,6 +11,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._frozen import reduce_by_constructor
+
 __all__ = [
     "Cluster",
     "CaseMetadata",
@@ -62,6 +64,8 @@ class DesignMatrix:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "slice_id", sid)
         self._check_stratification()
+
+    __reduce__ = reduce_by_constructor
 
     def _check_stratification(self):
         n, _ = self.points.shape
@@ -120,6 +124,8 @@ class DesignRanges:
         hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+
+    __reduce__ = reduce_by_constructor
 
     @classmethod
     def from_pairs(cls, pairs, units=None) -> "DesignRanges":

@@ -15,14 +15,17 @@ squared-exponential correlation is not scale-invariant.
 """
 
 import hashlib
+import logging
+import time
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
 from ._binio import MAX_ELEMENTS, Reader, Writer
+from ._frozen import reduce_by_constructor
 from .design import Cluster, DesignRanges
 from .errors import (
     DegenerateWeightsError,
@@ -62,6 +65,12 @@ MAGIC = "KSEM1"
 # Below this magnitude the raw-weight sum is treated as degenerate; the
 # normalizing division is refused rather than amplified.
 WEIGHT_SUM_EPS = 1e-6
+
+_log = logging.getLogger("kspod")
+
+
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1e3
 
 
 @dataclass(frozen=True)
@@ -188,12 +197,8 @@ class EmulatorModel:
         object.__setattr__(self, "_design_unit", unit)
         object.__setattr__(self, "_indicator", IndicatorKriging(unit, weight_params))
 
-    def __reduce__(self):
-        # a read-only mapping does not pickle: a copy is rebuilt from the
-        # stored fields with the record as a dict, and derives the rest anew
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values["options_record"] = dict(self.options_record)
-        return type(self), tuple(values.values())
+    # a copy is rebuilt from the stored fields and derives the rest anew
+    __reduce__ = reduce_by_constructor
 
     @property
     def rank(self) -> int:
@@ -247,6 +252,12 @@ def train(cases, options: TrainOptions = None) -> EmulatorModel:
     All cases must share bit-identical grids and time vectors and have
     distinct design vectors. A single-case model is permitted (with a
     warning) and degenerates to that case's truncated reconstruction.
+
+    Logs one INFO record per stage on the "kspod" logger, each with its
+    duration: the decompositions; the common rank, with the smallest energy
+    fraction it captures in any case, and the alignment; each mode's
+    length-scale search and its result; the fixed fit; and the weight
+    parameter.
     """
     options = options or TrainOptions()
     cases = list(cases)
@@ -284,38 +295,56 @@ def train(cases, options: TrainOptions = None) -> EmulatorModel:
     if np.unique(design, axis=0).shape[0] != design.shape[0]:
         raise ValueError("training designs must be distinct")
 
+    t0 = time.perf_counter()
     bases = [decompose(c, centering=options.centering) for c in cases]
+    _log.info("train: decomposed %d cases in %.1f ms", len(bases), _ms_since(t0))
     return _assemble(design, bases, ref, options)
 
 
 def _assemble(design, bases, ref_case: SnapshotSet,
               options: TrainOptions) -> EmulatorModel:
     """Build the model from per-case bases (rank choice, alignment, fits)."""
+    t0 = time.perf_counter()
     k_rank = _common_rank(bases, options)
     truncated = [truncate(b, num_modes=k_rank) for b in bases]
     aligned = [truncated[0]]
     aligned += [align_modes(truncated[0], b) for b in truncated[1:]]
+    captured = min(np.cumsum(b.energy_fractions)[k_rank - 1] for b in bases)
+    _log.info("train: common rank %d, smallest captured energy %.6f; rank and "
+              "alignment in %.1f ms", k_rank, captured, _ms_since(t0))
 
     ranges = options.ranges or _derive_ranges(design)
     unit = ranges.normalize(design)
 
     coeff_tensor = np.stack([b.coeffs for b in aligned], axis=0)  # (n, m, K)
     # one length-scale per mode, from the (n, m) block of all its time-steps
-    theta = np.repeat([[fit_theta(unit, coeff_tensor[:, :, k], options.fit_options)]
-                       for k in range(k_rank)], coeff_tensor.shape[1], axis=1)
+    mode_theta = []
+    for k in range(k_rank):
+        t0 = time.perf_counter()
+        mode_theta.append(fit_theta(unit, coeff_tensor[:, :, k], options.fit_options))
+        _log.info("train: mode %d length-scales %s in %.1f ms",
+                  k, mode_theta[k], _ms_since(t0))
+    theta = np.repeat(np.stack(mode_theta)[:, None], coeff_tensor.shape[1], axis=1)
     coefficients = np.ascontiguousarray(coeff_tensor.transpose(2, 1, 0))
+    t0 = time.perf_counter()
     mu, sigma2, _ = fit_fixed(unit, theta, coefficients, options.nugget)
+    _log.info("train: fixed fit of %d coefficient models in %.1f ms",
+              mu.size, _ms_since(t0))
     library = np.empty((len(aligned), k_rank + options.centering, ref_case.num_points))
     for rows, basis in zip(library, aligned):
         rows[:k_rank] = basis.modes.T
         if options.centering:
             rows[k_rank] = basis.mean_field
 
+    t0 = time.perf_counter()
     theta_w = options.weight_theta
     if theta_w is None:
         theta_w = fit_indicator_theta(
             unit, options.nugget, options.log_theta_bounds
         )
+    _log.info("train: weight theta %.6g (%s) in %.1f ms", theta_w,
+              "given" if options.weight_theta is not None else "fitted",
+              _ms_since(t0))
 
     record = {
         "energy_threshold": options.energy_threshold,

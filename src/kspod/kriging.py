@@ -26,6 +26,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from ._binio import MAX_ELEMENTS, Reader, Writer
+from ._frozen import reduce_by_constructor
 from .errors import DimensionOverflowError, FitError, IllConditionedError, NonFiniteDataError
 
 __all__ = [
@@ -82,6 +83,8 @@ class CorrelationParams:
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
 
+    __reduce__ = reduce_by_constructor
+
     @classmethod
     def isotropic(cls, theta: float, dims: int,
                   nugget: float = DEFAULT_NUGGET) -> "CorrelationParams":
@@ -133,6 +136,8 @@ class KrigingModel:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "obs", obs)
         object.__setattr__(self, "alpha", alpha)
+
+    __reduce__ = reduce_by_constructor
 
     @property
     def n(self) -> int:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._binio import MAX_ELEMENTS, Reader, Writer
+from ._frozen import reduce_by_constructor
 from .errors import DimensionOverflowError, NonFiniteDataError
 from .snapshots import SnapshotSet
 
@@ -80,6 +81,8 @@ class PODBasis:
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "quadrature_weights", w)
         object.__setattr__(self, "mean_field", mean)
+
+    __reduce__ = reduce_by_constructor
 
     @property
     def num_points(self) -> int:

@@ -8,7 +8,10 @@ produces fields that vary smoothly with the design vector.
 The field is stored column-major (one snapshot after another). A read
 returns it as a column-major view of the one array the payload is read into,
 and the generator builds it the same way, so neither reading nor writing a
-generated set copies the field.
+generated set copies the field. The generator fills the field one
+cache-sized block of snapshots at a time; every element gets the same
+operations, in the same order, as in a build over the whole field, so the
+field is the same bit for bit.
 """
 
 import math
@@ -18,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._binio import MAX_ELEMENTS, Reader, Writer
+from ._frozen import reduce_by_constructor
 from .design import DesignRanges
 from .errors import DimensionOverflowError, NonFiniteDataError, UnsupportedGridError
 
@@ -38,6 +42,13 @@ MAGIC = "KSPD1"
 
 # Relative tolerance on time-step uniformity.
 _DT_RTOL = 1e-9
+
+# Bytes of field rows that synth_flowfield fills at a time. A block and its
+# equally sized scratch stay in a per-core L2 cache (2 MiB on the Xeon where
+# this was measured) across all wave terms; on a 2,500-point field, 256 and
+# 512 KiB blocks were about equally fast, and 128 KiB blocks and the whole
+# field slower.
+_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,8 @@ class SnapshotSet:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "field", fld)
+
+    __reduce__ = reduce_by_constructor
 
     @property
     def num_points(self) -> int:
@@ -229,36 +242,54 @@ def synth_flowfield(design, grid, times, recipe: SynthRecipe,
     field(j, q) = mean(u_j) + sum_p a_p * g_p(u_j) * cos(2 pi f_p t_q + psi_p)
     with every map evaluated at the given design vector. Raises ValueError
     when a wave frequency violates the sampling bound f < 1/(2 dt).
+
+    Each map, and each wave's cosine over all the times, is evaluated once.
+    The field is then filled one block of snapshots at a time, small enough
+    to stay in cache while every wave term is added to it: the mean first,
+    then each term a * (g * c) in wave order. These are the products and
+    sums a build over the whole field makes, in the same order, so the
+    field is the same bit for bit.
     """
     design = np.atleast_1d(np.asarray(design, dtype=float))
     grid = np.asarray(grid, dtype=float)
     times = np.atleast_1d(np.asarray(times, dtype=float))
 
+    freqs = [float(wave.frequency(design)) for wave in recipe.waves]
     if times.size >= 2:
         dt = float(np.diff(times).mean())
         f_max = 1.0 / (2.0 * dt)
-        for p, wave in enumerate(recipe.waves):
-            f = float(wave.frequency(design))
+        for p, f in enumerate(freqs):
             if f >= f_max:
                 raise ValueError(
                     f"wave {p} frequency {f} Hz violates the sampling "
                     f"bound {f_max} Hz"
                 )
 
+    # the maps and cosines are evaluated on the full arrays, as the bits of
+    # cos, sin and exp can depend on how they are called; those of the
+    # multiplies and adds blocked below cannot
+    mean = np.asarray(recipe.mean(grid, design), dtype=float)
+    terms = [
+        (float(wave.amplitude(design)),
+         np.cos(2.0 * math.pi * f * times + float(wave.phase(design))),
+         np.asarray(wave.pattern(grid), dtype=float))
+        for wave, f in zip(recipe.waves, freqs)
+    ]
+
     # built time-major, one contiguous row per snapshot: the (J, m) field is
     # its column-major transpose, the KSPD1 layout, so writing it copies
-    # nothing; each term is still a * (g * c), element by element
+    # nothing
     out = np.empty((times.size, grid.shape[0]))
-    out[:] = np.asarray(recipe.mean(grid, design), dtype=float)
-    term = np.empty_like(out)
-    for wave in recipe.waves:
-        a = float(wave.amplitude(design))
-        f = float(wave.frequency(design))
-        psi = float(wave.phase(design))
-        g = np.asarray(wave.pattern(grid), dtype=float)
-        np.multiply(np.cos(2.0 * math.pi * f * times + psi)[:, None], g, out=term)
-        term *= a
-        out += term
+    rows = max(1, _BLOCK_BYTES // (8 * grid.shape[0]))
+    scratch = np.empty((min(rows, times.size), grid.shape[0]))
+    for start in range(0, times.size, rows):
+        block = out[start:start + rows]
+        term = scratch[:block.shape[0]]
+        block[:] = mean
+        for a, c, g in terms:
+            np.multiply(c[start:start + rows, None], g, out=term)
+            term *= a
+            block += term
 
     return SnapshotSet(
         case_id=case_id, design=design, grid=grid, times=times, field=out.T,

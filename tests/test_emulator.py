@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import pickle
 import struct
 import tracemalloc
@@ -123,6 +124,30 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(small_cases, TrainOptions(ranges=desk_setup["ranges"],
                                             cluster_filter=("A",)))
+
+    def test_logs_each_stage(self, desk_setup, small_cases, small_model,
+                             caplog, capsys):
+        with caplog.at_level(logging.INFO, logger="kspod"):
+            model = train(small_cases, TrainOptions(ranges=desk_setup["ranges"]))
+        records = [r for r in caplog.records
+                   if r.name == "kspod" and r.levelno == logging.INFO]
+        stages = [r.getMessage().split()[1] for r in records]
+        assert stages == ["decomposed", "common"] + ["mode"] * model.rank \
+            + ["fixed", "weight"]
+        decomposed, ranked, *modes, fixed, weight = records
+        assert decomposed.args[0] == len(small_cases)
+        assert ranked.args[0] == model.rank == small_model.rank
+        threshold = model.options_record["energy_threshold"]
+        assert threshold - 1e-12 <= ranked.args[1] <= 1.0
+        for k, rec in enumerate(modes):
+            assert rec.args[0] == k
+            assert np.array_equal(rec.args[1], model.coeff_theta[k, 0])
+        assert fixed.args[0] == model.coeff_mu.size
+        assert weight.args[:2] == (model.options_record["weight_theta"], "fitted")
+        for rec in records:
+            assert 0.0 <= rec.args[-1] < 6e4, rec.getMessage()
+        # diagnostics go to the logger only
+        assert capsys.readouterr().out == ""
 
     def test_zero_variance_cases_rejected(self):
         grid = np.zeros((3, 2))

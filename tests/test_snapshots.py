@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -161,7 +162,50 @@ class TestStructuredAxes:
             structured_axes(grid)
 
 
+def full_array_field(design, grid, times, recipe):
+    """The oracle built over the whole (m, J) field at once, one pass per
+    operation, as the generator did before it filled the field in blocks."""
+    design = np.atleast_1d(np.asarray(design, dtype=float))
+    out = np.empty((times.size, grid.shape[0]))
+    out[:] = np.asarray(recipe.mean(grid, design), dtype=float)
+    term = np.empty_like(out)
+    for wave in recipe.waves:
+        a = float(wave.amplitude(design))
+        f = float(wave.frequency(design))
+        psi = float(wave.phase(design))
+        g = np.asarray(wave.pattern(grid), dtype=float)
+        np.multiply(np.cos(2.0 * math.pi * f * times + psi)[:, None], g, out=term)
+        term *= a
+        out += term
+    return out.T
+
+
+def scalar_mean_recipe(recipe):
+    return SynthRecipe(mean=lambda g, x: 61.25, waves=recipe.waves)
+
+
 class TestSynthFlowfield:
+    @pytest.mark.parametrize("nx, nr, m, make_recipe", [
+        (50, 50, 100, None),           # the desk shape
+        (24, 24, 30, None),            # the dense-design shape, one block
+        (40, 25, 150, None),           # m leaves a ragged last block
+        (300, 300, 3, None),           # one row outgrows a block: rows of 1
+        (1, 1, 1, None),               # m = 1 and J = 1
+        (16, 14, 32, lambda r: SynthRecipe(mean=r.mean, waves=())),
+        (16, 14, 32, scalar_mean_recipe),
+    ])
+    def test_blocked_build_matches_full_array_bits(self, desk_setup, nx, nr, m,
+                                                   make_recipe):
+        recipe = desk_setup["recipe"]
+        if make_recipe is not None:
+            recipe = make_recipe(recipe)
+        grid, times = make_grid(nx, nr), make_times(m)
+        for unit in ([0.3, 0.6, 0.9], [0.95, 0.05, 0.5]):
+            x = desk_setup["ranges"].scale(np.array(unit))
+            expected = full_array_field(x, grid, times, recipe)
+            assert np.array_equal(synth_flowfield(x, grid, times, recipe).field,
+                                  expected)
+
     def test_zero_amplitudes_give_mean(self):
         grid = make_grid(5, 4)
         times = make_times(6)
