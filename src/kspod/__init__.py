@@ -40,7 +40,6 @@ from .kriging import (
     CorrelationParams,
     FitOptions,
     KrigingModel,
-    correlation,
     fit,
     fit_indicator_theta,
     indicator_weights,
@@ -64,10 +63,8 @@ from .pod import (
     align_modes,
     decompose,
     rank_for_energy,
-    read_basis,
     reconstruct,
     truncate,
-    write_basis,
 )
 from .snapshots import (
     SnapshotSet,

@@ -1,6 +1,7 @@
-"""Little-endian binary helpers shared by the KSPD1-family container files.
+"""Little-endian binary helpers shared by the KSPD1 (snapshot set) and KSEM1
+(trained emulator) container files.
 
-All containers follow the same conventions: a 6-byte magic tag ending in a
+Both containers follow the same conventions: a 6-byte magic tag ending in a
 newline, unsigned 64-bit dimensions, raw float64 payload sections, no padding
 and no checksum.
 
@@ -121,13 +122,13 @@ class Reader:
         self._fill([arr])
         return [int(v) for v in arr]
 
-    def f64(self, count: int, shape=None, order: str = "C") -> np.ndarray:
+    def f64(self, count: int, shape=None) -> np.ndarray:
         """The next ``count`` float64 values as a fresh array."""
         self.check_f64(count)
         arr = np.empty(count)
         self.into(arr)
         if shape is not None:
-            arr = arr.reshape(shape, order=order)
+            arr = arr.reshape(shape)
         return arr
 
     def into(self, *arrays) -> None:

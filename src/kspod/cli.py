@@ -120,7 +120,7 @@ def _train_options(cfg: dict) -> TrainOptions:
         ranges=_ranges(cfg),
         nugget=float(krg["nugget"]),
         log_theta_bounds=tuple(krg["log_theta_bounds"]),
-        restarts=int(krg["restarts"]),
+        restarts=krg["restarts"],
         weight_theta=krg["weight_theta"],
     )
 
@@ -277,6 +277,7 @@ def _cmd_pipeline(args) -> int:
     if args.workdir is not None:
         cfg["_base_dir"] = Path(args.workdir)
         Path(args.workdir).mkdir(parents=True, exist_ok=True)
+    options = _train_options(cfg)
 
     d_cfg = cfg["design"]
     design = generate_slhd(
@@ -290,7 +291,7 @@ def _cmd_pipeline(args) -> int:
     test_paths = _synth_cases(cfg, test_points, data_dir / "test", "test")
 
     cases = _load_training_cases(data_dir / "train")
-    model = train(cases, _train_options(cfg))
+    model = train(cases, options)
     model_path = _resolve(cfg, "model_path")
     model_path.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, model_path)

@@ -16,6 +16,7 @@ squared-exponential correlation is not scale-invariant.
 
 import hashlib
 import logging
+import numbers
 import time
 import warnings
 from collections.abc import Mapping
@@ -86,7 +87,8 @@ class TrainOptions:
     """Knobs for emulator training.
 
     Exactly one truncation rule applies: ``num_modes`` when given, otherwise
-    the cumulative ``energy_threshold``. ``cluster_filter`` restricts
+    the cumulative ``energy_threshold``; ``num_modes`` and ``restarts`` must
+    be integers (numpy integers included). ``cluster_filter`` restricts
     training to cases whose metadata cluster is listed (metadata must then
     be supplied, aligned with the cases). ``ranges`` defaults to the
     bounding box of the training designs. ``nugget``, ``log_theta_bounds``
@@ -115,8 +117,11 @@ class TrainOptions:
     def __post_init__(self):
         if self.num_modes is None and not 0.0 < self.energy_threshold <= 1.0:
             raise ValueError("energy_threshold must lie in (0, 1]")
-        if self.num_modes is not None and self.num_modes < 1:
-            raise ValueError("num_modes must be at least 1")
+        if self.num_modes is not None:
+            if not isinstance(self.num_modes, numbers.Integral):
+                raise ValueError(f"num_modes must be an integer, got {self.num_modes!r}")
+            if self.num_modes < 1:
+                raise ValueError("num_modes must be at least 1")
         if self.cluster_filter is not None:
             members = frozenset(
                 c if isinstance(c, Cluster) else Cluster(str(c))

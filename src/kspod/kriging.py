@@ -20,32 +20,27 @@ neighbour's do not.
 
 import bisect
 import logging
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from ._binio import MAX_ELEMENTS, Reader, Writer
 from ._frozen import reduce_by_constructor
-from .errors import DimensionOverflowError, FitError, IllConditionedError, NonFiniteDataError
+from .errors import FitError, IllConditionedError
 
 __all__ = [
     "CorrelationParams",
     "FitOptions",
     "IndicatorKriging",
     "KrigingModel",
-    "correlation",
     "fit",
     "fit_fixed",
     "fit_indicator_theta",
     "fit_theta",
     "indicator_weights",
     "predict",
-    "read_model",
-    "write_model",
 ]
-
-MAGIC = "KSGP1"
 
 DEFAULT_NUGGET = 1e-8
 DEFAULT_LOG_THETA_BOUNDS = (-6.0, 6.0)
@@ -103,6 +98,8 @@ class FitOptions:
         lo, hi = self.log_theta_bounds
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError("log_theta_bounds must be finite with lower < upper")
+        if not isinstance(self.restarts, numbers.Integral):
+            raise ValueError(f"restarts must be an integer, got {self.restarts!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -138,23 +135,6 @@ class KrigingModel:
         object.__setattr__(self, "alpha", alpha)
 
     __reduce__ = reduce_by_constructor
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.inputs.shape[1]
-
-
-def correlation(x_i, x_j, params: CorrelationParams) -> float:
-    """Squared-exponential correlation of two points."""
-    x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
-    x_j = np.atleast_1d(np.asarray(x_j, dtype=float))
-    if x_i.shape != x_j.shape or x_i.size != params.theta.size:
-        raise ValueError("point dimensions do not match")
-    return float(np.exp(-np.sum(params.theta * (x_i - x_j) ** 2)))
 
 
 def _sq_diffs(x_pts: np.ndarray) -> np.ndarray:
@@ -493,33 +473,3 @@ def fit_indicator_theta(x_pts, nugget: float = DEFAULT_NUGGET,
                "%d residual evaluations, fell back to the upper bound: %s",
                theta, resids[pick], len(resids), fallback)
     return theta
-
-
-def write_model(model: KrigingModel, path) -> None:
-    """Write a fitted model as a KSGP1 file (factorization not stored)."""
-    w = Writer(MAGIC)
-    w.u64(model.n, model.dims)
-    w.f64(model.inputs)
-    w.f64(model.obs)
-    w.f64(model.params.theta)
-    w.f64([model.params.nugget, model.mu_hat, model.sigma2_hat])
-    w.dump(path)
-
-
-def read_model(path) -> KrigingModel:
-    with open(path, "rb") as fh:
-        r = Reader(fh, MAGIC)
-        n, d = r.u64(2)
-        if min(n, d) < 1 or n * d > MAX_ELEMENTS:
-            raise DimensionOverflowError(f"{path}: implausible dimensions n={n}, d={d}")
-        inputs = r.f64(n * d, shape=(n, d))
-        obs = r.f64(n)
-        theta = r.f64(d)
-        scalars = r.f64(3)
-        r.finish()
-    for arr in (inputs, obs, theta, scalars):
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteDataError(f"{path}: payload contains non-finite values")
-    nugget, mu, sigma2 = scalars
-    params = CorrelationParams(theta, float(nugget))
-    return KrigingModel(inputs, obs, params, float(mu), float(sigma2))

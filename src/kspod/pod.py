@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._binio import MAX_ELEMENTS, Reader, Writer
 from ._frozen import reduce_by_constructor
-from .errors import DimensionOverflowError, NonFiniteDataError
 from .snapshots import SnapshotSet
 
 __all__ = [
@@ -20,13 +18,9 @@ __all__ = [
     "align_modes",
     "decompose",
     "rank_for_energy",
-    "read_basis",
     "reconstruct",
     "truncate",
-    "write_basis",
 ]
-
-MAGIC = "KSPB1"
 
 # Eigenvalues below this fraction of the largest are numerically null and
 # dropped at decomposition time.
@@ -102,10 +96,6 @@ class PODBasis:
         if total <= 0.0:
             return np.zeros_like(self.eigenvalues)
         return self.eigenvalues / total
-
-    @property
-    def centered(self) -> bool:
-        return self.mean_field is not None
 
 
 def decompose(snapshots, centering: bool = True, weights=None) -> PODBasis:
@@ -253,38 +243,3 @@ def align_modes(reference: PODBasis, target: PODBasis) -> PODBasis:
         target.quadrature_weights,
         target.mean_field,
     )
-
-
-def write_basis(basis: PODBasis, path) -> None:
-    """Write a basis as a KSPB1 file (same conventions as KSPD1)."""
-    w = Writer(MAGIC)
-    flags = 1 if basis.centered else 0
-    w.u64(basis.num_points, basis.num_snapshots, basis.num_modes, flags)
-    w.f64(basis.quadrature_weights)
-    w.f64(basis.eigenvalues)
-    w.f64(basis.modes, order="F")
-    w.f64(basis.coeffs, order="F")
-    if basis.centered:
-        w.f64(basis.mean_field)
-    w.dump(path)
-
-
-def read_basis(path) -> PODBasis:
-    with open(path, "rb") as fh:
-        r = Reader(fh, MAGIC)
-        j, m, k, flags = r.u64(4)
-        if min(j, m) < 1 or (j + k + j * k + m * k) > MAX_ELEMENTS:
-            raise DimensionOverflowError(
-                f"{path}: implausible dimensions J={j}, m={m}, K={k}"
-            )
-        weights = r.f64(j)
-        lam = r.f64(k)
-        modes = r.f64(j * k, shape=(j, k), order="F")
-        coeffs = r.f64(m * k, shape=(m, k), order="F")
-        mean = r.f64(j) if flags & 1 else None
-        r.finish()
-    arrays = [weights, lam, modes, coeffs] + ([mean] if mean is not None else [])
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteDataError(f"{path}: payload contains non-finite values")
-    return PODBasis(modes, coeffs, lam, weights, mean)

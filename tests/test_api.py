@@ -1,0 +1,37 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import kspod
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(kspod.__path__))
+
+# names that must stay gone: the package saves only KSPD1 and KSEM1 files,
+# and prediction never needs a pointwise correlation
+REMOVED = {
+    "kspod": ("correlation", "read_basis", "write_basis", "read_model",
+              "write_model"),
+    "kspod.pod": ("MAGIC", "read_basis", "write_basis"),
+    "kspod.kriging": ("MAGIC", "correlation", "read_model", "write_model"),
+}
+
+
+def test_public_surface():
+    # every listed or re-exported name resolves
+    for name in MODULES:
+        module = importlib.import_module(f"kspod.{name}")
+        missing = [attr for attr in getattr(module, "__all__", ())
+                   if not hasattr(module, attr)]
+        assert not missing, f"kspod.{name}.__all__ lists {missing}"
+    tree = ast.parse(Path(kspod.__file__).read_text("utf-8"))
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imported) > 50
+    assert [n for n in imported if not hasattr(kspod, n)] == []
+    # and no removed name survives anywhere
+    for module_name, names in REMOVED.items():
+        module = importlib.import_module(module_name)
+        for attr in names:
+            assert not hasattr(module, attr), f"{module_name}.{attr}"
+            assert attr not in getattr(module, "__all__", ())

@@ -11,8 +11,6 @@ import pytest
 from kspod._binio import Reader, Writer
 from kspod.emulator import load_model
 from kspod.errors import BadMagicError, FormatError, TruncatedPayloadError
-from kspod.kriging import fit, read_model, write_model
-from kspod.pod import decompose, read_basis, write_basis
 from kspod.snapshots import (
     SnapshotSet,
     default_recipe,
@@ -168,23 +166,12 @@ def kspd1(path):
     return read_dataset
 
 
-def kspb1(path):
-    write_basis(decompose(np.random.default_rng(1).normal(size=(6, 4))), path)
-    return read_basis
-
-
-def ksgp1(path):
-    rng = np.random.default_rng(2)
-    write_model(fit(rng.uniform(size=(5, 2)), rng.normal(size=5)), path)
-    return read_model
-
-
 def ksem1(path):
     shutil.copyfile(DATA / "ksem1_centered.ksem", path)
     return load_model
 
 
-@pytest.mark.parametrize("make", [kspd1, kspb1, ksgp1, ksem1])
+@pytest.mark.parametrize("make", [kspd1, ksem1])
 @pytest.mark.parametrize("damage, error", [
     (lambda data: b"XXXX" + data[4:], BadMagicError),
     (lambda data: data[:-8], TruncatedPayloadError),

@@ -281,6 +281,15 @@ class TestPipeline:
         assert cli.main(["pipeline", "--config", str(cfg)]) == 1
         assert not (tmp_path / "model.ksem").exists()
 
+    @pytest.mark.parametrize("section, key", [("pod", "num_modes"),
+                                              ("kriging", "restarts")])
+    def test_non_integral_count_rejected_before_synthesis(self, tmp_path, capsys,
+                                                          section, key):
+        cfg = small_config(tmp_path, **{section: {key: 2.5}})
+        assert cli.main(["pipeline", "--config", str(cfg)]) == 1
+        assert f"{key} must be an integer, got 2.5" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_config_not_found(self, tmp_path):
         assert cli.main(["pipeline", "--config", str(tmp_path / "nope.json")]) == 2
 

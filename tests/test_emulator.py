@@ -428,10 +428,14 @@ class TestOptions:
             TrainOptions(energy_threshold=1.5)
         with pytest.raises(ValueError):
             TrainOptions(num_modes=0)
+        with pytest.raises(ValueError, match="num_modes must be an integer"):
+            TrainOptions(num_modes=2.5)
+        assert TrainOptions(num_modes=np.int64(2)).num_modes == 2
+        assert FitOptions(restarts=np.int32(3)).restarts == 3
         for bad in (-1.0, np.nan):
             with pytest.raises(ValueError):
                 TrainOptions(weight_theta=bad)
-        for bad in ({"restarts": 0}, {"nugget": -1e-3},
+        for bad in ({"restarts": 0}, {"restarts": 2.5}, {"nugget": -1e-3},
                     {"log_theta_bounds": (3.0, -3.0)}):
             with pytest.raises(ValueError):
                 TrainOptions(**bad)

@@ -16,15 +16,12 @@ from kspod.kriging import (
     CorrelationParams,
     FitOptions,
     IndicatorKriging,
-    correlation,
     fit,
     fit_fixed,
     fit_indicator_theta,
     fit_theta,
     indicator_weights,
     predict,
-    read_model,
-    write_model,
     _ones_block,
     _profile_nll,
 )
@@ -77,27 +74,6 @@ def unmemoized_search(x_pts, y, options=FitOptions()):
         key=lambda searched: searched[1],
     )
     return best_x, best_f, scored
-
-
-class TestCorrelation:
-    def test_identical_points(self):
-        params = CorrelationParams(np.array([2.0, 3.0]))
-        assert correlation([0.1, 0.4], [0.1, 0.4], params) == 1.0
-
-    def test_unit_distance(self):
-        params = CorrelationParams(np.array([1.0]))
-        assert correlation([0.0], [1.0], params) == pytest.approx(
-            np.exp(-1.0), rel=1e-12
-        )
-
-    def test_underflow_to_zero(self):
-        params = CorrelationParams(np.array([1e6]))
-        assert correlation([0.0], [1.0], params) == 0.0
-
-    def test_dimension_mismatch(self):
-        params = CorrelationParams(np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            correlation([0.0], [1.0, 2.0], params)
 
 
 class TestFitAndPredict:
@@ -638,24 +614,3 @@ class TestIndicatorTheta:
         assert np.log(fitted) < 2.5 and fitted in np.exp(candidates)
         assert fit_indicator_theta(x_pts, log_theta_bounds=(3.0, 3.01)) == np.exp(3.0)
 
-
-class TestSerialization:
-    def test_round_trip_predictions(self, tmp_path):
-        rng = np.random.default_rng(10)
-        x_pts = rng.uniform(size=(8, 2))
-        y = rng.normal(size=8)
-        model = fit(x_pts, y)
-        path = tmp_path / "model.ksgp"
-        write_model(model, path)
-        loaded = read_model(path)
-        probes = rng.uniform(size=(6, 2))
-        for probe in probes:
-            assert predict(loaded, probe) == predict(model, probe)
-
-    def test_rewrite_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(11)
-        model = fit(rng.uniform(size=(5, 1)), rng.normal(size=5))
-        p1, p2 = tmp_path / "a.ksgp", tmp_path / "b.ksgp"
-        write_model(model, p1)
-        write_model(read_model(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()

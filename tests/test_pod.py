@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from kspod.errors import NonFiniteDataError
 from kspod.pod import (
     PODBasis,
     align_modes,
     decompose,
     rank_for_energy,
-    read_basis,
     reconstruct,
     truncate,
-    write_basis,
 )
 from kspod.snapshots import make_grid, make_times, synth_flowfield
 
@@ -237,33 +234,3 @@ class TestAlignModes:
         with pytest.raises(ValueError):
             align_modes(a, b)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(12)
-        basis = decompose(rng.normal(size=(9, 6)) + 3.0, centering=True)
-        path = tmp_path / "basis.kspb"
-        write_basis(basis, path)
-        loaded = read_basis(path)
-        for name in ("modes", "coeffs", "eigenvalues", "quadrature_weights",
-                     "mean_field"):
-            assert getattr(loaded, name).tobytes() == getattr(basis, name).tobytes()
-
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(13)
-        basis = decompose(rng.normal(size=(7, 5)), centering=False)
-        p1, p2 = tmp_path / "a.kspb", tmp_path / "b.kspb"
-        write_basis(basis, p1)
-        write_basis(read_basis(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_non_finite_rejected(self, tmp_path):
-        basis = decompose(np.random.default_rng(14).normal(size=(4, 3)),
-                          centering=False)
-        path = tmp_path / "nan.kspb"
-        write_basis(basis, path)
-        data = bytearray(path.read_bytes())
-        data[-8:] = np.array([np.inf]).astype("<f8").tobytes()
-        path.write_bytes(bytes(data))
-        with pytest.raises(NonFiniteDataError):
-            read_basis(path)
