@@ -113,10 +113,12 @@ def _train_options(cfg: dict) -> TrainOptions:
     pod_cfg = cfg["pod"]
     krg = cfg["kriging"]
     threshold = pod_cfg["energy_threshold"]
+    if not isinstance(pod_cfg["centering"], bool):
+        raise ConfigError(f"pod.centering must be a boolean, got {pod_cfg['centering']!r}")
     return TrainOptions(
         energy_threshold=0.99 if threshold is None else threshold,
         num_modes=pod_cfg["num_modes"],
-        centering=bool(pod_cfg["centering"]),
+        centering=pod_cfg["centering"],
         ranges=_ranges(cfg),
         nugget=float(krg["nugget"]),
         log_theta_bounds=tuple(krg["log_theta_bounds"]),
@@ -262,7 +264,9 @@ def _cmd_eval(args) -> int:
 
 def _interior_test_points(cfg) -> np.ndarray:
     t = cfg["test"]
-    count = int(t["count"])
+    count = t["count"]
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ConfigError(f"test.count must be an integer, got {count!r}")
     if count < 1:
         raise ConfigError("test.count must be at least 1")
     shrink = float(t["shrink"])
@@ -278,6 +282,7 @@ def _cmd_pipeline(args) -> int:
         cfg["_base_dir"] = Path(args.workdir)
         Path(args.workdir).mkdir(parents=True, exist_ok=True)
     options = _train_options(cfg)
+    test_points = _interior_test_points(cfg)
 
     d_cfg = cfg["design"]
     design = generate_slhd(
@@ -287,7 +292,6 @@ def _cmd_pipeline(args) -> int:
 
     data_dir = _resolve(cfg, "dataset_dir")
     _synth_cases(cfg, design.points, data_dir / "train", "case")
-    test_points = _interior_test_points(cfg)
     test_paths = _synth_cases(cfg, test_points, data_dir / "test", "test")
 
     cases = _load_training_cases(data_dir / "train")

@@ -1,14 +1,12 @@
 """Kernel-smoothed POD emulator of spatiotemporal fields.
 
 Training decomposes every case into spatial modes and temporal coefficients,
-sign-aligns the mode libraries to the first case, fits one kriging model per
-(mode, time-step) coefficient (held as stacked arrays), and configures
-shared-parameter indicator kriging over the design space. The coefficient
-models pool only their length-scale: it is searched once per mode, on all
-time-steps together, while each (mode, time-step) model keeps its own mean,
-variance and weights. Prediction at an untried design blends the per-case
-modes (and mean fields) with normalized indicator weights and evaluates the
-coefficient models, then recombines.
+sign-aligns the mode libraries to the first case, kriges each mode's
+coefficients under one length-scale vector (each time-step keeps its own
+mean, variance and weights), and configures shared-parameter indicator
+kriging over the design space. Prediction at an untried design blends the
+per-case modes and mean fields with normalized indicator weights, evaluates
+the coefficient models and recombines.
 
 Design vectors are normalized to the unit cube before any kriging; the
 squared-exponential correlation is not scale-invariant.
@@ -94,13 +92,12 @@ class TrainOptions:
     bounding box of the training designs. ``nugget``, ``log_theta_bounds``
     and ``restarts`` are checked as ``FitOptions`` and set the coefficient
     length-scale search, which runs once per mode on all its time-steps
-    together: only the length-scale is pooled, and each (mode, time-step)
-    model keeps its own mean, variance and weights. ``weight_theta`` fixes
-    the (positive) indicator-weight parameter; by default it is a grid theta
-    within ``log_theta_bounds`` whose weights keep the interpolation
-    identity at the training designs while the next lower one's do not
-    (``kriging.fit_indicator_theta``). That is the smallest passing theta
-    under a nugget; with a zero nugget a lower one may pass as well.
+    together. ``weight_theta`` fixes the (positive) indicator-weight
+    parameter; by default it is a grid theta within ``log_theta_bounds``
+    whose weights keep the interpolation identity at the training designs
+    while the next lower one's do not (``kriging.fit_indicator_theta``).
+    That is the smallest passing theta under a nugget; with a zero nugget a
+    lower one may pass as well.
     """
 
     energy_threshold: float = 0.99
@@ -150,11 +147,9 @@ class EmulatorModel:
     Prediction blends every library row with one product and recombines with
     the blended mean row as the coefficient 1.
 
-    The coefficient GP of mode k at time-step q, on normalized inputs, has
-    length-scales ``coeff_theta[k, q]``, mean ``coeff_mu[k, q]`` and variance
-    ``coeff_sigma2[k, q]``. Training repeats each mode's length-scale across
-    time-steps; the (K, m, d) layout also holds the per-(mode, time-step)
-    length-scales of older files. ``options_record`` carries the indicator
+    The coefficient GPs of mode k, on normalized inputs, share length-scales
+    ``coeff_theta[k]``; at time-step q the GP has mean ``coeff_mu[k, q]`` and
+    variance ``coeff_sigma2[k, q]``. ``options_record`` carries the indicator
     weight parameter ``weight_theta`` and the ``nugget``.
 
     Everything else is derived from the fields, here and only here, so a
@@ -172,7 +167,7 @@ class EmulatorModel:
     library: np.ndarray       # (n, K [+ 1], J) modes as rows, then the mean
     eigenvalues: np.ndarray   # (n, K)
     coefficients: np.ndarray  # (K, m, n)
-    coeff_theta: np.ndarray   # (K, m, d)
+    coeff_theta: np.ndarray   # (K, d)
     coeff_mu: np.ndarray      # (K, m)
     coeff_sigma2: np.ndarray  # (K, m)
     grid: np.ndarray          # (J, 2)
@@ -194,8 +189,8 @@ class EmulatorModel:
         nugget = self.options_record["nugget"]
         weight_params = CorrelationParams.isotropic(
             self.options_record["weight_theta"], self.dims, nugget)
-        _, _, alpha = fit_fixed(unit, self.coeff_theta, self.coefficients,
-                                nugget, self.coeff_mu)
+        alpha = np.stack([fit_fixed(unit, theta, y, nugget, mu)[2] for theta, y, mu in zip(
+            self.coeff_theta, self.coefficients, self.coeff_mu, strict=True)])
         alpha.flags.writeable = False
         object.__setattr__(self, "coeff_alpha", alpha)
         object.__setattr__(self, "weight_params", weight_params)
@@ -323,16 +318,16 @@ def _assemble(design, bases, ref_case: SnapshotSet,
 
     coeff_tensor = np.stack([b.coeffs for b in aligned], axis=0)  # (n, m, K)
     # one length-scale per mode, from the (n, m) block of all its time-steps
-    mode_theta = []
+    theta = np.empty((k_rank, unit.shape[1]))
     for k in range(k_rank):
         t0 = time.perf_counter()
-        mode_theta.append(fit_theta(unit, coeff_tensor[:, :, k], options.fit_options))
+        theta[k] = fit_theta(unit, coeff_tensor[:, :, k], options.fit_options)
         _log.info("train: mode %d length-scales %s in %.1f ms",
-                  k, mode_theta[k], _ms_since(t0))
-    theta = np.repeat(np.stack(mode_theta)[:, None], coeff_tensor.shape[1], axis=1)
+                  k, theta[k], _ms_since(t0))
     coefficients = np.ascontiguousarray(coeff_tensor.transpose(2, 1, 0))
     t0 = time.perf_counter()
-    mu, sigma2, _ = fit_fixed(unit, theta, coefficients, options.nugget)
+    mu, sigma2 = np.stack([fit_fixed(unit, th, y, options.nugget)[:2]
+                           for th, y in zip(theta, coefficients)], axis=1)
     _log.info("train: fixed fit of %d coefficient models in %.1f ms",
               mu.size, _ms_since(t0))
     library = np.empty((len(aligned), k_rank + options.centering, ref_case.num_points))
@@ -358,7 +353,6 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         "nugget": options.nugget,
         "log_theta_bounds": tuple(options.log_theta_bounds),
         "restarts": options.restarts,
-        "shared_theta": True,
         "weight_theta": float(theta_w),
     }
     return EmulatorModel(
@@ -418,12 +412,13 @@ def predict_modes(model: EmulatorModel, x_new) -> np.ndarray:
 
 def predict_coefficients(model: EmulatorModel, x_new,
                          time_indices=None) -> np.ndarray:
-    """Coefficient predictions (K, len(indices)) from the per-(k, q) models."""
+    """Coefficient predictions (K, len(indices)), mu + r_k . alpha with each
+    mode's correlations r_k to the training designs computed once (n,)."""
     sq = (model._design_unit - _normalize_query(model, x_new)) ** 2
     idx = _time_indices(time_indices, model.num_snapshots)
-    r = np.exp(-(model.coeff_theta[:, idx] @ sq.T))
+    r = np.exp(-(model.coeff_theta @ sq.T))
     return model.coeff_mu[:, idx] + np.einsum(
-        "kqn,kqn->kq", r, model.coeff_alpha[:, idx])
+        "kn,kqn->kq", r, model.coeff_alpha[:, idx])
 
 
 def predict_field(model: EmulatorModel, x_new, time_indices=None) -> np.ndarray:
@@ -474,10 +469,9 @@ def save_model(model: EmulatorModel, path) -> None:
 
     w = Writer(MAGIC)
     flags = 1 if model.centering else 0
-    # the eighth word is 1 when each mode's length-scale is shared across
-    # time-steps; files fitted per (mode, time-step) carry 0 and keep it
-    w.u64(n, d, j, m, k_rank, flags, int(rec["restarts"]),
-          1 if rec["shared_theta"] else 0, int(rec["num_modes"] or 0))
+    # word 8 = 1: each mode's length-scales, listed per time-step, are one vector
+    w.u64(n, d, j, m, k_rank, flags, int(rec["restarts"]), 1,
+          int(rec["num_modes"] or 0))
     lb, ub = rec["log_theta_bounds"]
     thr = rec["energy_threshold"]
     w.f64([
@@ -499,16 +493,20 @@ def save_model(model: EmulatorModel, path) -> None:
         w.f64(rows[:k_rank])
         w.f64(beta)
         w.f64(rows[k_rank:])
-    w.f64(model.coeff_theta)
+    w.f64(np.repeat(model.coeff_theta[:, None], m, axis=1))
     w.f64(model.coeff_mu)
     w.f64(model.coeff_sigma2)
     w.dump(path)
 
 
 def load_model(path) -> EmulatorModel:
+    """Read a KSEM1 file; one whose header word 8 is not 1, or whose (K, m, d)
+    length-scales differ across a mode's time-steps, raises ValueError."""
     with open(path, "rb") as fh:
         r = Reader(fh, MAGIC)
         n, d, j, m, k_rank, flags, restarts, shared, explicit_k = r.u64(9)
+        if shared != 1:
+            raise ValueError(f"{path}: header word 8 is {shared}, not 1 (one theta per mode)")
         total = n * d + 2 * j + m + n * (k_rank + j * k_rank + m * k_rank + j) \
             + k_rank * m * (d + 2)
         if min(n, d, j, m, k_rank) < 1 or total > MAX_ELEMENTS:
@@ -548,6 +546,8 @@ def load_model(path) -> EmulatorModel:
             f"{path}: coefficient and weight length-scales must be positive "
             "and finite, and the nugget finite and nonnegative"
         )
+    if np.any(theta != theta[:, :1]):
+        raise ValueError(f"{path}: a mode's length-scales differ across its time-steps")
 
     record = {
         "energy_threshold": None if np.isnan(thr) else float(thr),
@@ -556,7 +556,6 @@ def load_model(path) -> EmulatorModel:
         "nugget": float(nugget),
         "log_theta_bounds": (float(lb), float(ub)),
         "restarts": int(restarts),
-        "shared_theta": bool(shared),
         "weight_theta": float(weight_theta),
     }
     return EmulatorModel(
@@ -565,7 +564,7 @@ def load_model(path) -> EmulatorModel:
         library=library,
         eigenvalues=eigenvalues,
         coefficients=np.ascontiguousarray(case_coeffs.transpose(1, 2, 0)),
-        coeff_theta=theta,
+        coeff_theta=theta[:, 0].copy(),
         coeff_mu=mu,
         coeff_sigma2=sigma2,
         grid=grid,

@@ -9,9 +9,8 @@ keeps its own mean and variance. Every correlation matrix is factorized by
 one LAPACK Cholesky helper, and the search and the closed-form fit at
 fixed length-scales share one least-squares step: a whitened triangular
 solve against the factor. The search scores each distinct length-scale
-vector once; the fit factorizes each distinct length-scale once, solves its
-datasets as one block and back-solves their residuals. Prediction is the
-closed-form conditional mean.
+vector once; the fit factorizes once, solves its datasets as one block and
+back-solves their residuals. Prediction is the closed-form conditional mean.
 Indicator-vector kriging with one shared isotropic parameter provides
 per-case blending weights whose raw values sum to one identically; the
 parameter is a grid value whose weights keep interpolating while its lower
@@ -138,8 +137,12 @@ class KrigingModel:
 
 
 def _sq_diffs(x_pts: np.ndarray) -> np.ndarray:
-    """Per-dimension squared differences, shape (n, n, d)."""
-    return (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
+    """Per-dimension squared differences, shape (n, n, d), built one (n, n)
+    outer difference per dimension: one broadcast runs n * n inner loops of d."""
+    diffs = np.empty(x_pts.shape[:1] * 2 + x_pts.shape[1:])
+    for k, col in enumerate(x_pts.T):
+        np.subtract.outer(col, col, out=diffs[:, :, k])
+    return np.square(diffs, out=diffs)
 
 
 def _checked(x_pts, ys=(), axis=0):
@@ -346,35 +349,28 @@ def fit(x_pts, y, options: FitOptions = None) -> KrigingModel:
 
 
 def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
-    """Closed-form ordinary-kriging fit at fixed length-scales.
+    """Closed-form ordinary-kriging fit at one fixed length-scale vector.
 
-    ``theta`` (..., d) and ``y`` (..., n) stack datasets on the shared input
-    rows ``x_pts`` (n, d), one per leading index. Each run of equal
-    consecutive theta rows (in C order) is factorized once and its datasets
-    solved as one (n, q) block by _gls, each fitted exactly as on its own.
-    Returns the generalized-least-squares mean mu (...), the variance
-    estimate sigma2 (...) and alpha = R^-1 (y - mu) = L^-T (z - mu v)
+    ``y`` (..., n) stacks datasets on the shared input rows ``x_pts`` (n, d),
+    one per leading index, all under ``theta`` (d,). R is factorized once
+    and the datasets solved as one (n, q) block by _gls, each fitted exactly
+    as on its own. Returns the generalized-least-squares mean mu (...), the
+    variance estimate sigma2 (...) and alpha = R^-1 (y - mu) = L^-T (z - mu v)
     (..., n). A given ``mu`` (one read back from a file) is used as is, so
     alpha is rebuilt exactly. Non-finite or mis-sized data raise ValueError.
     """
     x_pts, (y,) = _checked(x_pts, [y], axis=-1)
     (n, d), lead = x_pts.shape, y.shape[:-1]
-    rows = np.broadcast_to(np.asarray(theta, dtype=float), lead + (d,)).reshape(-1, d)
-    ys = y.reshape(-1, n)
-    mu_out = np.empty(len(rows)) if mu is None else \
-        np.array(np.broadcast_to(mu, lead), dtype=float).ravel()
-    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
-    diffs = _sq_diffs(x_pts)
-    sigma2, alpha = np.empty(len(rows)), np.empty(ys.shape)
-    for lo, hi in zip(starts, np.r_[starts[1:], len(rows)]):
-        factor = _cholesky_or_raise(diffs, rows[lo], nugget)
-        given = None if mu is None else mu_out[lo:hi]
-        mu_out[lo:hi], sigma2[lo:hi], white = _gls(
-            factor, _ones_block(ys[lo:hi].T), given)
-        # v rides along, so each residual is back-solved in a block of at
-        # least two columns and rounds as it does in any other block
-        alpha[lo:hi] = dtrtrs(factor, white, lower=1, trans=1)[0][:, 1:].T
-    return mu_out.reshape(lead), sigma2.reshape(lead), alpha.reshape(y.shape)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (d,):
+        raise ValueError(f"theta must be a ({d},) vector, got shape {theta.shape}")
+    mu = None if mu is None else np.array(np.broadcast_to(mu, lead), dtype=float).ravel()
+    factor = _cholesky_or_raise(_sq_diffs(x_pts), theta, nugget)
+    mu, sigma2, white = _gls(factor, _ones_block(y.reshape(-1, n).T), mu)
+    # v rides along, so each residual is back-solved in a block of at least
+    # two columns and rounds as it does in any other block
+    alpha = dtrtrs(factor, white, lower=1, trans=1)[0][:, 1:].T
+    return mu.reshape(lead), sigma2.reshape(lead), alpha.reshape(y.shape)
 
 
 def _build_model(x_pts, y, params: CorrelationParams) -> KrigingModel:

@@ -290,6 +290,18 @@ class TestPipeline:
         assert f"{key} must be an integer, got 2.5" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("section, value, message", [
+        ("pod", {"centering": "false"}, "pod.centering must be a boolean, got 'false'"),
+        ("test", {"count": 2.5}, "test.count must be an integer, got 2.5"),
+        ("test", {"count": True}, "test.count must be an integer, got True"),
+    ])
+    def test_mistyped_option_rejected_before_synthesis(self, tmp_path, capsys,
+                                                     section, value, message):
+        cfg = small_config(tmp_path, **{section: value})
+        assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_config_not_found(self, tmp_path):
         assert cli.main(["pipeline", "--config", str(tmp_path / "nope.json")]) == 2
 

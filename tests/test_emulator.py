@@ -27,7 +27,7 @@ from kspod.errors import (
     IncompatibleCasesError,
     NonFiniteDataError,
 )
-from kspod.kriging import FitOptions, fit_fixed, fit_theta
+from kspod.kriging import FitOptions, fit_theta
 from kspod.pod import PODBasis, decompose, reconstruct, truncate
 from kspod.snapshots import SnapshotSet, read_dataset, write_dataset
 from test_kriging import dense_predict
@@ -141,7 +141,7 @@ class TestTrain:
         assert threshold - 1e-12 <= ranked.args[1] <= 1.0
         for k, rec in enumerate(modes):
             assert rec.args[0] == k
-            assert np.array_equal(rec.args[1], model.coeff_theta[k, 0])
+            assert np.array_equal(rec.args[1], model.coeff_theta[k])
         assert fixed.args[0] == model.coeff_mu.size
         assert weight.args[:2] == (model.options_record["weight_theta"], "fitted")
         for rec in records:
@@ -242,7 +242,7 @@ class TestPrediction:
         x_new = desk_setup["ranges"].scale(np.array([0.41, 0.63, 0.28]))
         xu = model.ranges.normalize(x_new)
         oracle = np.array([
-            [dense_predict(unit, coeffs[:, q, k], model.coeff_theta[k, q],
+            [dense_predict(unit, coeffs[:, q, k], model.coeff_theta[k],
                            nugget, xu) for q in range(model.num_snapshots)]
             for k in range(model.rank)
         ])
@@ -253,6 +253,28 @@ class TestPrediction:
         assert np.abs(one - oracle[:, [7]]).max() < 1e-8 * scale
         assert predict_coefficients(model, x_new, time_indices=[]).shape \
             == (model.rank, 0)
+
+    @pytest.mark.parametrize("slices, per_slice, nx, snapshots", [
+        (5, 6, 50, 100),  # the benchmark's desk workload
+        (8, 10, 24, 30),  # its dense-design workload
+    ])
+    def test_probe_coefficients_equal_full_history(self, slices, per_slice, nx,
+                                                   snapshots):
+        # the benchmark's seed-1 models and query designs: one time-step's
+        # coefficients equal its column of the full history bit for bit
+        ranges = kspod.SWIRL_DESIGN_RANGES
+        grid, times = kspod.make_grid(nx, nx), kspod.make_times(snapshots)
+        recipe = kspod.default_recipe(ranges)
+        design = kspod.scale_design(kspod.generate_slhd(slices, per_slice, 3, seed=1), ranges)
+        model = train([kspod.synth_flowfield(x, grid, times, recipe) for x in design],
+                      TrainOptions(ranges=ranges))
+        queries = ranges.scale(np.random.default_rng([1, 2]).uniform(
+            0.125, 0.875, size=(16, 3)))
+        for x in queries:
+            full = predict_coefficients(model, x)
+            for q in range(snapshots):
+                assert np.array_equal(predict_coefficients(model, x, [q])[:, 0],
+                                      full[:, q])
 
     def test_constant_coefficients_predicted_exactly(self):
         # identical fluctuation fields shifted by per-case constants: after
@@ -405,11 +427,10 @@ class TestOptions:
         options = TrainOptions(ranges=desk_setup["ranges"], num_modes=2)
         model = train(small_cases, options)
         # one theta per mode, searched on the (n, m) block of all its
-        # time-steps and shared across them
+        # time-steps
         unit = model.ranges.normalize(model.design)
         for k, row in enumerate(model.coeff_theta):
-            assert np.array_equal(row, np.broadcast_to(row[0], row.shape))
-            assert np.array_equal(row[0], fit_theta(unit, model.coefficients[k].T))
+            assert np.array_equal(row, fit_theta(unit, model.coefficients[k].T))
         case = small_cases[2]
         basis = decompose(case)
         target = reconstruct(truncate(basis, num_modes=2))
@@ -479,6 +500,11 @@ class TestSerialization:
         for derived in ("rank", "weight_params", "coeff_alpha"):
             with pytest.raises(TypeError):
                 dataclasses.replace(small_model, **{derived: getattr(small_model, derived)})
+        # one length-scale vector per mode, for every mode
+        theta = small_model.coeff_theta
+        for bad in (theta[:-1], np.repeat(theta[:, None], 2, axis=1)):
+            with pytest.raises(ValueError):
+                dataclasses.replace(small_model, coeff_theta=bad)
 
     def test_stored_fields_are_read_only(self, small_model):
         # an in-place write would leave the derived weights behind, and a
@@ -504,29 +530,6 @@ class TestSerialization:
         probe = desk_setup["ranges"].scale(np.array([0.3, 0.6, 0.9]))
         assert np.array_equal(predict_field(copy, probe),
                               predict_field(small_model, probe))
-
-    def test_per_step_theta_file(self, small_model, desk_setup, tmp_path):
-        # a file whose theta was searched per (mode, time-step), as older
-        # writers stored it: the header's eighth word is 0 and must survive
-        unit = small_model.ranges.normalize(small_model.design)
-        coeffs = small_model.coefficients
-        theta = np.array([[fit_theta(unit, y) for y in mode] for mode in coeffs])
-        assert not np.array_equal(theta, np.broadcast_to(theta[:, :1], theta.shape))
-        nugget = small_model.options_record["nugget"]
-        mu, sigma2, _ = fit_fixed(unit, theta, coeffs, nugget)
-        per_step = dataclasses.replace(
-            small_model, coeff_theta=theta, coeff_mu=mu, coeff_sigma2=sigma2,
-            options_record={**small_model.options_record, "shared_theta": False})
-        p1, p2 = tmp_path / "a.ksem", tmp_path / "b.ksem"
-        save_model(per_step, p1)
-        assert struct.unpack_from("<Q", p1.read_bytes(), 6 + 7 * 8) == (0,)
-        loaded = load_model(p1)
-        assert np.array_equal(loaded.coeff_theta, theta)
-        assert np.array_equal(loaded.coeff_alpha, fit_fixed(unit, theta, coeffs, nugget, mu)[2])
-        probe = desk_setup["ranges"].scale(np.array([0.3, 0.6, 0.9]))
-        assert np.array_equal(predict_field(loaded, probe), predict_field(per_step, probe))
-        save_model(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("name", ["centered", "uncentered"])
     def test_golden_file_layout(self, name, tmp_path):
@@ -584,6 +587,34 @@ class TestSerialization:
             with pytest.raises(ValueError) as caught:
                 load_model(bad)
             assert str(bad) in str(caught.value)
+
+    def test_per_step_length_scales_rejected(self, small_model, tmp_path):
+        # a file holds one length-scale vector per mode, listed per
+        # (mode, time-step) under header word 8 = 1: a length-scale that
+        # differs across a mode's time-steps, or another word 8, is refused
+        path = tmp_path / "model.ksem"
+        save_model(small_model, path)
+        data = path.read_bytes()
+        k_rank, m = small_model.coeff_mu.shape
+        d = small_model.dims
+        theta_at = len(data) - 8 * k_rank * m * (d + 2)
+        shared_at = 6 + 7 * 8
+        assert struct.unpack_from("<Q", data, shared_at) == (1,)
+        assert np.array_equal(np.frombuffer(data, "<f8", d, theta_at + 8 * d),
+                              small_model.coeff_theta[0])
+        patches = [
+            (theta_at + 8 * d, np.float64(2.0 * small_model.coeff_theta[0, 0]).tobytes(),
+             "differ across"),
+            (shared_at, struct.pack("<Q", 0), "header word 8 is 0"),
+        ]
+        for i, (offset, raw, message) in enumerate(patches):
+            patched = bytearray(data)
+            patched[offset:offset + 8] = raw
+            bad = tmp_path / f"bad{i}.ksem"
+            bad.write_bytes(bytes(patched))
+            with pytest.raises(ValueError) as caught:
+                load_model(bad)
+            assert str(bad) in str(caught.value) and message in str(caught.value)
 
     def test_non_finite_case_library_rejected(self, small_model, tmp_path):
         path = tmp_path / "model.ksem"

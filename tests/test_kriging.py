@@ -208,31 +208,22 @@ class TestFitAndPredict:
 
 
 class TestCholeskyPath:
-    def test_given_mu_rebuilds_alpha(self):
-        # stacked (2, 3) systems; a loaded model rebuilds alpha from the
+    @pytest.mark.parametrize("n, d, order", [(1, 1, "C"), (7, 2, "F"), (80, 3, "C")])
+    def test_sq_diffs_match_broadcast(self, n, d, order):
+        x_pts = np.asarray(np.random.default_rng(19).uniform(size=(n, d)), order=order)
+        diffs = kriging._sq_diffs(x_pts)
+        assert diffs.flags.c_contiguous
+        assert np.array_equal(diffs, (x_pts[:, None, :] - x_pts[None, :, :]) ** 2)
+
+    def test_given_mu_rebuilds_alpha(self, monkeypatch):
+        # stacked (2, 3) systems under one theta: one factorization, one
+        # forward and one back block solve, and every system still solved
+        # exactly as on its own; a loaded model rebuilds alpha from the
         # stored mu, which must reproduce the trained alpha bit for bit
         rng = np.random.default_rng(15)
         x_pts = rng.uniform(size=(10, 2))
-        theta = np.exp(rng.uniform(-1.0, 2.0, size=(2, 3, 2)))
+        theta = np.exp(rng.uniform(-1.0, 2.0, size=2))
         y = rng.normal(size=(2, 3, 10))
-        mu, sigma2, alpha = fit_fixed(x_pts, theta, y, DEFAULT_NUGGET)
-        assert mu.shape == sigma2.shape == (2, 3) and alpha.shape == y.shape
-        assert np.array_equal(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, mu)[2], alpha)
-        assert np.array_equal(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, mu + 1.0)[0],
-                              mu + 1.0)
-        for i in np.ndindex(2, 3):
-            one = fit_fixed(x_pts, theta[i], y[i], DEFAULT_NUGGET)
-            assert all(np.array_equal(a, b[i]) for a, b in zip(one, (mu, sigma2, alpha)))
-
-    def test_repeated_theta_factorized_once(self, monkeypatch):
-        # theta shared across the time-steps of each mode: one factorization
-        # and one block solve per run of equal rows, and every system still
-        # solved exactly as on its own
-        rng = np.random.default_rng(17)
-        x_pts = rng.uniform(size=(10, 2))
-        theta = np.repeat(np.exp(rng.uniform(-1.0, 2.0, size=(3, 1, 2))), 4, axis=1)
-        theta[2, 2:] = theta[0, 0]  # equal rows count only when consecutive
-        y = rng.normal(size=(3, 4, 10))
         calls = {"factor": 0, "solve": 0}
 
         def counted(name, real):
@@ -244,14 +235,23 @@ class TestCholeskyPath:
         monkeypatch.setattr(kriging, "_cholesky", counted("factor", kriging._cholesky))
         monkeypatch.setattr(kriging, "dtrtrs", counted("solve", kriging.dtrtrs))
         mu, sigma2, alpha = fit_fixed(x_pts, theta, y, DEFAULT_NUGGET)
-        # four runs, each with one forward and one back block solve
-        assert calls == {"factor": 4, "solve": 8}
+        assert calls == {"factor": 1, "solve": 2}
+        assert mu.shape == sigma2.shape == (2, 3) and alpha.shape == y.shape
         assert np.array_equal(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, mu)[2], alpha)
         # a given mu takes the same solves
-        assert calls == {"factor": 8, "solve": 16}
-        for i in np.ndindex(3, 4):
-            one = fit_fixed(x_pts, theta[i], y[i], DEFAULT_NUGGET)
+        assert calls == {"factor": 2, "solve": 4}
+        assert np.array_equal(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, mu + 1.0)[0],
+                              mu + 1.0)
+        for i in np.ndindex(2, 3):
+            one = fit_fixed(x_pts, theta, y[i], DEFAULT_NUGGET)
             assert all(np.array_equal(a, b[i]) for a, b in zip(one, (mu, sigma2, alpha)))
+
+    def test_one_theta_only(self):
+        # every dataset of a fit_fixed call shares one length-scale vector
+        rng = np.random.default_rng(18)
+        x_pts = rng.uniform(size=(6, 2))
+        with pytest.raises(ValueError, match="theta must be a \\(2,\\) vector"):
+            fit_fixed(x_pts, np.ones((3, 2)), rng.normal(size=(3, 6)), DEFAULT_NUGGET)
 
     @pytest.mark.parametrize("factorize", ["fit_fixed", "IndicatorKriging"])
     def test_duplicates_without_nugget(self, factorize):
