@@ -1,5 +1,5 @@
 """Little-endian binary helpers shared by the KSPD1 (snapshot set) and KSEM1
-(trained emulator) container files.
+and KSEM2 (trained emulator) container files.
 
 Both containers follow the same conventions: a 6-byte magic tag ending in a
 newline, unsigned 64-bit dimensions, raw float64 payload sections, no padding
@@ -65,9 +65,12 @@ class Writer:
 
 
 class Reader:
-    """Cursor over one open container file with layout-aware errors."""
+    """Cursor over one open container file with layout-aware errors.
 
-    def __init__(self, fh, magic: str):
+    ``magic`` is the tag the file must start with, or a tuple of the tags it
+    may start with; ``self.magic`` is the one found."""
+
+    def __init__(self, fh, magic):
         self._fh = fh
         self._fd = None
         if _PREADV is not None:
@@ -78,13 +81,15 @@ class Reader:
         self._pos = fh.tell()
         self._size = fh.seek(0, io.SEEK_END)
         fh.seek(self._pos)
-        expected = magic.encode("ascii") + b"\n"
-        found = np.empty(min(len(expected), self._size - self._pos), np.uint8)
+        magics = (magic,) if isinstance(magic, str) else magic
+        tags = {m.encode("ascii") + b"\n": m for m in magics}
+        size = len(next(iter(tags)))
+        found = np.empty(min(size, self._size - self._pos), np.uint8)
         self._fill([found])
-        if found.tobytes() != expected:
-            raise BadMagicError(
-                f"expected magic {expected!r}, found {found.tobytes()!r}"
-            )
+        self.magic = tags.get(found.tobytes())
+        if self.magic is None:
+            expected = " or ".join(repr(t) for t in tags)
+            raise BadMagicError(f"expected magic {expected}, found {found.tobytes()!r}")
 
     def _check(self, nbytes: int) -> None:
         if self._pos + nbytes > self._size:

@@ -269,7 +269,12 @@ def _interior_test_points(cfg) -> np.ndarray:
         raise ConfigError(f"test.count must be an integer, got {count!r}")
     if count < 1:
         raise ConfigError("test.count must be at least 1")
-    shrink = float(t["shrink"])
+    # held-out designs are the Latin hypercube shrunk about the centre, so a
+    # factor outside (0, 1] would leave the design box or collapse them
+    shrink = t["shrink"]
+    if isinstance(shrink, bool) or not isinstance(shrink, (int, float)) \
+            or not 0.0 < shrink <= 1.0:
+        raise ConfigError(f"test.shrink must be a number in (0, 1], got {shrink!r}")
     raw = generate_slhd(1, count, cfg["design"]["dims"], cfg["seed"] + 1)
     return 0.5 + shrink * (raw.points - 0.5)
 

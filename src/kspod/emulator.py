@@ -3,10 +3,15 @@
 Training decomposes every case into spatial modes and temporal coefficients,
 sign-aligns the mode libraries to the first case, kriges each mode's
 coefficients under one length-scale vector (each time-step keeps its own
-mean, variance and weights), and configures shared-parameter indicator
-kriging over the design space. Prediction at an untried design blends the
-per-case modes and mean fields with normalized indicator weights, evaluates
-the coefficient models and recombines.
+mean, variance and weights), configures shared-parameter indicator kriging
+over the design space and, with centering, fits one length-scale vector
+for the case mean fields. Prediction at an untried design is one pass: the
+query's correlations under every length-scale come from one product, the
+per-case modes are blended with normalized indicator weights and the mean
+fields with ordinary-kriging weights under the mean length-scales, the
+coefficient models are evaluated and one product recombines. A model read
+from a KSEM1 file has no mean length-scales and blends its mean fields with
+the indicator weights, as such files were written to.
 
 Design vectors are normalized to the unit cube before any kriging; the
 squared-exponential correlation is not scale-invariant.
@@ -38,6 +43,8 @@ from .kriging import (
     CorrelationParams,
     FitOptions,
     IndicatorKriging,
+    _search_theta,
+    _sq_diffs,
     fit_fixed,
     fit_indicator_theta,
     fit_theta,
@@ -59,7 +66,16 @@ __all__ = [
     "weight_vector",
 ]
 
+# KSEM2 is KSEM1 followed by the mean-field length-scales (d floats); a model
+# without them (uncentered, or read from a KSEM1 file) is written as KSEM1
 MAGIC = "KSEM1"
+MAGIC_MEAN = "KSEM2"
+
+# The mean-field length-scales are searched on every MEAN_COLUMN_STRIDE-th
+# grid column of the case means; the mean weights take them at this nugget,
+# small enough that they reproduce the training means (criterion 08)
+MEAN_COLUMN_STRIDE = 7
+MEAN_WEIGHT_NUGGET = 1e-10
 
 # Below this magnitude the raw-weight sum is treated as degenerate; the
 # normalizing division is refused rather than amplified.
@@ -139,13 +155,18 @@ class EmulatorModel:
     """Trained emulator: the aligned case library and the coefficient and
     weight models, all held as arrays.
 
-    The fields are exactly what a KSEM1 file stores. ``library`` is one
-    C-contiguous case-major stack (n, K + 1, J): per case the K aligned modes
-    as rows (``modes.T``), then the mean field, which is absent without
-    centering. ``eigenvalues`` (n, K) and ``coefficients`` (K, m, n) are the
-    cases' retained POD eigenvalues and aligned temporal coefficients.
-    Prediction blends every library row with one product and recombines with
-    the blended mean row as the coefficient 1.
+    The fields are exactly what a KSEM2 file stores (KSEM1 without
+    ``mean_theta``). ``library`` is one C-contiguous case-major stack
+    (n, K + 1, J): per case the K aligned modes as rows (``modes.T``), then
+    the mean field, which is absent without centering. ``eigenvalues``
+    (n, K) and ``coefficients`` (K, m, n) are the cases' retained POD
+    eigenvalues and aligned temporal coefficients. Prediction blends the
+    mode rows with the indicator weights and the mean rows with the
+    ordinary-kriging weights under the mean-field length-scales
+    ``mean_theta`` (d,), taken at MEAN_WEIGHT_NUGGET, and recombines with
+    the blended mean row as the coefficient 1. A centered model without
+    ``mean_theta`` (one read from a KSEM1 file) blends its mean rows with
+    the indicator weights as well; an uncentered one has no ``mean_theta``.
 
     The coefficient GPs of mode k, on normalized inputs, share length-scales
     ``coeff_theta[k]``; at time-step q the GP has mean ``coeff_mu[k, q]`` and
@@ -155,8 +176,10 @@ class EmulatorModel:
     Everything else is derived from the fields, here and only here, so a
     model and its saved-and-loaded copy predict alike: ``rank`` (K), the
     weights ``coeff_alpha[k, q] = R^-1 (y - mu)`` (K, m, n) rebuilt from the
-    stored means, the isotropic ``weight_params`` and the factorized
-    indicator kriging on the unit-cube design. The stored arrays and
+    stored means, the isotropic ``weight_params``, and the factorized
+    indicator and mean-field kriging on the unit-cube design, which share
+    one array of squared design differences with the coefficient fits. The
+    stored arrays and
     ``coeff_alpha`` are read-only and ``options_record`` is a read-only
     mapping, so no field can change under the state derived from it; a
     changed model is a new one (``dataclasses.replace``).
@@ -176,26 +199,43 @@ class EmulatorModel:
     options_record: Mapping
     variable: str = "field"
     units: str = ""
+    mean_theta: np.ndarray = None  # (d,), or None
 
     def __post_init__(self):
         object.__setattr__(self, "design", np.atleast_2d(self.design))
-        for name in ("design", "library", "eigenvalues", "coefficients", "coeff_theta",
-                     "coeff_mu", "coeff_sigma2", "grid", "times"):
+        names = ["design", "library", "eigenvalues", "coefficients", "coeff_theta",
+                 "coeff_mu", "coeff_sigma2", "grid", "times"]
+        if self.mean_theta is not None:
+            if not self.centering:
+                raise ValueError("an uncentered model has no mean-field length-scales")
+            names.append("mean_theta")
+        for name in names:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "options_record", MappingProxyType(dict(self.options_record)))
         unit = self.ranges.normalize(self.design)
+        diffs = _sq_diffs(unit)
         nugget = self.options_record["nugget"]
         weight_params = CorrelationParams.isotropic(
             self.options_record["weight_theta"], self.dims, nugget)
-        alpha = np.stack([fit_fixed(unit, theta, y, nugget, mu)[2] for theta, y, mu in zip(
+        alpha = np.stack([fit_fixed(unit, theta, y, nugget, mu, diffs)[2] for theta, y, mu in zip(
             self.coeff_theta, self.coefficients, self.coeff_mu, strict=True)])
         alpha.flags.writeable = False
+        # every length-scale a query correlates under, one row each: the
+        # weights', the mean field's when it is kriged, then each mode's
+        thetas = [weight_params.theta]
+        mean_kriging = None
+        if self.mean_theta is not None:
+            mean_kriging = IndicatorKriging(
+                unit, CorrelationParams(self.mean_theta, MEAN_WEIGHT_NUGGET), diffs)
+            thetas.append(self.mean_theta)
         object.__setattr__(self, "coeff_alpha", alpha)
         object.__setattr__(self, "weight_params", weight_params)
         object.__setattr__(self, "_design_unit", unit)
-        object.__setattr__(self, "_indicator", IndicatorKriging(unit, weight_params))
+        object.__setattr__(self, "_indicator", IndicatorKriging(unit, weight_params, diffs))
+        object.__setattr__(self, "_mean_kriging", mean_kriging)
+        object.__setattr__(self, "_query_theta", np.vstack([*thetas, self.coeff_theta]))
 
     # a copy is rebuilt from the stored fields and derives the rest anew
     __reduce__ = reduce_by_constructor
@@ -256,8 +296,10 @@ def train(cases, options: TrainOptions = None) -> EmulatorModel:
     Logs one INFO record per stage on the "kspod" logger, each with its
     duration: the decompositions; the common rank, with the smallest energy
     fraction it captures in any case, and the alignment; each mode's
-    length-scale search and its result; the fixed fit; and the weight
-    parameter.
+    length-scale search and its result; the fixed fit; the weight
+    parameter; and, with centering, the mean-field length-scales with the
+    number of distinct ones scored and the identity residual
+    max |W_mean(X) - I| of the mean weights at the training designs.
     """
     options = options or TrainOptions()
     cases = list(cases)
@@ -346,6 +388,16 @@ def _assemble(design, bases, ref_case: SnapshotSet,
               "given" if options.weight_theta is not None else "fitted",
               _ms_since(t0))
 
+    mean_theta = None
+    if options.centering:
+        # one search, from mode 0's log length-scales, on a column subset of
+        # the (n, J) case means
+        t0 = time.perf_counter()
+        mean_theta, scored = _search_theta(
+            unit, library[:, k_rank, ::MEAN_COLUMN_STRIDE], options.fit_options,
+            starts=np.log(theta[0]))
+        mean_ms = _ms_since(t0)
+
     record = {
         "energy_threshold": options.energy_threshold,
         "num_modes": options.num_modes,
@@ -355,7 +407,7 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         "restarts": options.restarts,
         "weight_theta": float(theta_w),
     }
-    return EmulatorModel(
+    model = EmulatorModel(
         design=design,
         ranges=ranges,
         library=library,
@@ -370,7 +422,13 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         options_record=record,
         variable=ref_case.variable,
         units=ref_case.units,
+        mean_theta=mean_theta,
     )
+    if mean_theta is not None:
+        resid = np.abs(model._mean_kriging.weights(unit) - np.eye(len(unit))).max()
+        _log.info("train: mean length-scales %s, identity residual %.3e, %d "
+                  "distinct scored in %.1f ms", mean_theta, resid, scored, mean_ms)
+    return model
 
 
 def _normalize_query(model: EmulatorModel, x_new) -> np.ndarray:
@@ -392,50 +450,70 @@ def _normalize_raw(raw: np.ndarray, x_new) -> np.ndarray:
     return raw / total
 
 
+def _correlations(model: EmulatorModel, x_new) -> np.ndarray:
+    """Correlations of the query to the n training designs, one row per
+    length-scale of ``_query_theta`` (weights, kriged mean, modes), from one
+    exponent product."""
+    sq = (model._design_unit - _normalize_query(model, x_new)) ** 2
+    r = model._query_theta @ sq.T
+    return np.exp(np.negative(r, out=r), out=r)
+
+
 def weight_vector(model: EmulatorModel, x_new) -> WeightVector:
     """Indicator-kriging blending weights of the training cases at x_new."""
-    raw = model._indicator.weights(_normalize_query(model, x_new))
+    raw = model._indicator.solve(_correlations(model, x_new)[0])
     return WeightVector(raw, _normalize_raw(raw, x_new))
-
-
-def _blend(model: EmulatorModel, w: np.ndarray) -> np.ndarray:
-    """Weighted sum over cases of every library row, (K [+ 1], J)."""
-    library = model.library
-    return (w @ library.reshape(library.shape[0], -1)).reshape(library.shape[1:])
 
 
 def predict_modes(model: EmulatorModel, x_new) -> np.ndarray:
     """Normalized-weight average of the aligned per-case modes, (J, K)."""
     w = weight_vector(model, x_new).normalized
-    return _blend(model, w)[:model.rank].T
+    library = model.library
+    return (w @ library[:, :model.rank].reshape(library.shape[0], -1)).reshape(
+        model.rank, -1).T
 
 
 def predict_coefficients(model: EmulatorModel, x_new,
                          time_indices=None) -> np.ndarray:
     """Coefficient predictions (K, len(indices)), mu + r_k . alpha with each
     mode's correlations r_k to the training designs computed once (n,)."""
-    sq = (model._design_unit - _normalize_query(model, x_new)) ** 2
     idx = _time_indices(time_indices, model.num_snapshots)
-    r = np.exp(-(model.coeff_theta @ sq.T))
-    return model.coeff_mu[:, idx] + np.einsum(
-        "kn,kqn->kq", r, model.coeff_alpha[:, idx])
+    r = _correlations(model, x_new)[-model.rank:]
+    return model.coeff_mu[:, idx] + np.einsum("kn,kqn->kq", r, model.coeff_alpha[:, idx])
 
 
 def predict_field(model: EmulatorModel, x_new, time_indices=None) -> np.ndarray:
     """Full-field prediction (J, len(indices)) at an untried design point,
     column-major like generated and read fields.
 
-    Combines predicted modes and coefficients; with centering on, the mean
-    field is blended with the same normalized weights as the modes and
-    added inside the recombining product as a coefficient row of ones.
+    One pass: the query is normalized once and its correlations under every
+    length-scale come from one exponent product. The modes are blended with
+    the normalized indicator weights; with centering on, the mean field is
+    blended with the ordinary-kriging weights under ``mean_theta`` (or, for
+    a model without it, with the indicator weights too) and added inside the
+    recombining product as a coefficient row of ones.
     """
-    w = weight_vector(model, x_new).normalized
-    beta = predict_coefficients(model, x_new, time_indices)
-    if model.centering:
-        beta = np.vstack((beta, np.ones(beta.shape[1])))
+    idx = _time_indices(time_indices, model.num_snapshots)
+    mu = model.coeff_mu[:, idx]
+    r = _correlations(model, x_new)
+    library, k = model.library, model.rank
+    n = library.shape[0]
+    w = _normalize_raw(model._indicator.solve(r[0]), x_new)
+    rows = np.empty(library.shape[1:])  # (K [+ 1], J) blended library rows
+    if model._mean_kriging is None:
+        np.matmul(w, library.reshape(n, -1), out=rows.reshape(-1))
+    else:
+        # both products read views of the library, without copying it
+        np.matmul(w, library[:, :k].reshape(n, -1), out=rows[:k].reshape(-1))
+        np.matmul(model._mean_kriging.solve(r[1]), library[:, k], out=rows[k])
+    # the coefficients as predict_coefficients makes them, then the mean's 1
+    beta = np.empty((rows.shape[0], mu.shape[1]))
+    np.einsum("kn,kqn->kq", r[-k:], model.coeff_alpha[:, idx], out=beta[:k])
+    beta[:k] += mu
+    beta[k:] = 1.0
     # the (m, J) product's transpose is the column-major field, which a
     # KSPD1 writer takes without a transposing copy
-    return (beta.T @ _blend(model, w)).T
+    return (beta.T @ rows).T
 
 
 def predict_snapshots(model: EmulatorModel, x_new,
@@ -457,17 +535,18 @@ def predict_snapshots(model: EmulatorModel, x_new,
 
 
 # ---------------------------------------------------------------------------
-# KSEM1 serialization
+# KSEM1 and KSEM2 serialization
 
 def save_model(model: EmulatorModel, path) -> None:
-    """Write the emulator as a KSEM1 file (same conventions as KSPD1)."""
+    """Write the emulator as a KSEM2 file, or as KSEM1 when it has no
+    ``mean_theta`` (same conventions as KSPD1)."""
     n, d = model.design.shape
     j = model.num_points
     m = model.num_snapshots
     k_rank = model.rank
     rec = model.options_record
 
-    w = Writer(MAGIC)
+    w = Writer(MAGIC if model.mean_theta is None else MAGIC_MEAN)
     flags = 1 if model.centering else 0
     # word 8 = 1: each mode's length-scales, listed per time-step, are one vector
     w.u64(n, d, j, m, k_rank, flags, int(rec["restarts"]), 1,
@@ -496,19 +575,24 @@ def save_model(model: EmulatorModel, path) -> None:
     w.f64(np.repeat(model.coeff_theta[:, None], m, axis=1))
     w.f64(model.coeff_mu)
     w.f64(model.coeff_sigma2)
+    if model.mean_theta is not None:
+        w.f64(model.mean_theta)
     w.dump(path)
 
 
 def load_model(path) -> EmulatorModel:
-    """Read a KSEM1 file; one whose header word 8 is not 1, or whose (K, m, d)
-    length-scales differ across a mode's time-steps, raises ValueError."""
+    """Read a KSEM2 or KSEM1 file; one whose header word 8 is not 1, whose
+    (K, m, d) length-scales differ across a mode's time-steps, or whose
+    mean-field length-scales are not positive and finite (or belong to an
+    uncentered model) raises ValueError."""
     with open(path, "rb") as fh:
-        r = Reader(fh, MAGIC)
+        r = Reader(fh, (MAGIC, MAGIC_MEAN))
         n, d, j, m, k_rank, flags, restarts, shared, explicit_k = r.u64(9)
         if shared != 1:
             raise ValueError(f"{path}: header word 8 is {shared}, not 1 (one theta per mode)")
+        kriged_mean = r.magic == MAGIC_MEAN
         total = n * d + 2 * j + m + n * (k_rank + j * k_rank + m * k_rank + j) \
-            + k_rank * m * (d + 2)
+            + k_rank * m * (d + 2) + kriged_mean * d
         if min(n, d, j, m, k_rank) < 1 or total > MAX_ELEMENTS:
             raise DimensionOverflowError(f"{path}: implausible model dimensions")
         thr, nugget, weight_theta, lb, ub = r.f64(5)
@@ -533,6 +617,7 @@ def load_model(path) -> EmulatorModel:
         theta = r.f64(k_rank * m * d, shape=(k_rank, m, d))
         mu = r.f64(k_rank * m, shape=(k_rank, m))
         sigma2 = r.f64(k_rank * m, shape=(k_rank, m))
+        mean_theta = r.f64(d) if kriged_mean else None
         r.finish()
 
     ranges = DesignRanges(lower, upper)
@@ -548,6 +633,11 @@ def load_model(path) -> EmulatorModel:
         )
     if np.any(theta != theta[:, :1]):
         raise ValueError(f"{path}: a mode's length-scales differ across its time-steps")
+    if kriged_mean and not (centering and np.all(mean_theta > 0.0)
+                            and np.all(mean_theta < np.inf)):
+        raise ValueError(
+            f"{path}: mean-field length-scales must be positive and finite, "
+            "and belong to a centered model")
 
     record = {
         "energy_threshold": None if np.isnan(thr) else float(thr),
@@ -571,4 +661,5 @@ def load_model(path) -> EmulatorModel:
         times=times,
         centering=centering,
         options_record=record,
+        mean_theta=mean_theta,
     )

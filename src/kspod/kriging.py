@@ -14,7 +14,9 @@ back-solves their residuals. Prediction is the closed-form conditional mean.
 Indicator-vector kriging with one shared isotropic parameter provides
 per-case blending weights whose raw values sum to one identically; the
 parameter is a grid value whose weights keep interpolating while its lower
-neighbour's do not.
+neighbour's do not. The same factorized weights under a fitted anisotropic
+parameter are the ordinary-kriging weights of a whole block of datasets,
+such as the emulator's case mean fields.
 """
 
 import bisect
@@ -160,8 +162,9 @@ def _cholesky(diffs, theta, nugget):
     """Lower Cholesky factor of R(theta) + nugget I from the (n, n, d) squared
     input differences, or None when it is not positive definite. LAPACK is
     called directly: callers check their inputs, so R is finite."""
-    n = diffs.shape[0]
-    rmat = diffs @ -theta
+    n, _, d = diffs.shape
+    # one (n * n, d) gemv; the (n, n, d) operand would loop over n gemvs
+    rmat = (diffs.reshape(n * n, d) @ -theta).reshape(n, n)
     np.exp(rmat, out=rmat)
     rmat.flat[::n + 1] += nugget
     # R is exactly symmetric, so its column-major view is R itself and
@@ -203,7 +206,7 @@ def _gls(factor, block, mu=None):
         mu = np.einsum("n,nq->q", v, resid) / (v @ v)
     # the transposed outer product is column-major like resid, so the
     # subtraction runs in memory order
-    resid -= np.outer(mu, v).T
+    resid -= np.multiply.outer(mu, v).T
     return mu, np.einsum("nq,nq->q", resid, resid) / factor.shape[0], white
 
 
@@ -222,14 +225,17 @@ def _profile_nll(diffs, block, nugget, log_theta) -> float:
     factor = _cholesky(diffs, np.exp(log_theta), nugget)
     if factor is None:
         return np.inf
-    pivots = np.diag(factor)
-    smallest = float(np.min(pivots))
+    # array methods rather than the numpy functions that wrap them: this
+    # runs once per length-scale scored, and the wrappers cost about as
+    # much as the arithmetic at these sizes
+    pivots = factor.diagonal()
+    smallest = float(pivots.min())
     if nugget > 0.0 and smallest * smallest <= 10.0 * nugget:
         return np.inf
     n = factor.shape[0]
-    logdet = 2.0 * np.sum(np.log(pivots))
+    logdet = 2.0 * np.log(pivots).sum()
     sigma2 = np.maximum(_gls(factor, block)[1], 1e-300)
-    value = 0.5 * n * np.sum(np.log(sigma2)) + 0.5 * sigma2.size * logdet
+    value = 0.5 * n * np.log(sigma2).sum() + 0.5 * sigma2.size * logdet
     return value if np.isfinite(value) else np.inf
 
 
@@ -271,11 +277,15 @@ def _is_constant(y) -> bool:
     return bool(np.all(spread <= 1e-14 * max(1.0, float(np.max(np.abs(y))))))
 
 
-def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
+def fit_theta(x_pts, y, options: FitOptions = None, starts=None) -> np.ndarray:
     """Length-scales (d,) maximizing the profile likelihood of y at inputs x_pts.
 
     ``y`` is one dataset (n,) or a block (n, q) of datasets sharing one
-    theta. The coordinate search runs from every start point and the best
+    theta. The coordinate search runs from every start point, by default
+    the centre of the log-theta box and ``options.restarts - 1`` fixed
+    quasi-random points; ``starts`` (s, d) or (d,) replaces them by the
+    given log-theta points, clipped to the bounds (the emulator starts its
+    mean-field search from mode 0's fitted log-theta). The best
     end point is returned: no move of one log-theta coordinate by the last
     step (1.5 / 16, clipped to the bounds) lowers the negative likelihood
     there by more than 1e-12. Constant data skip the search (every theta
@@ -286,13 +296,26 @@ def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
     logs one DEBUG record on the "kspod" logger: the distinct length-scale
     vectors scored, the repeats answered from memory, how many distinct ones
     were rejected, and how many fitted components sit on the search bounds.
-    Non-finite or mis-sized data raise ValueError.
+    Non-finite or mis-sized data or starts raise ValueError.
     """
+    return _search_theta(x_pts, y, options, starts)[0]
+
+
+def _search_theta(x_pts, y, options: FitOptions = None, starts=None):
+    """fit_theta's length-scales and the number of distinct log-theta it scored."""
     options = options or FitOptions()
     x_pts, (y,) = _checked(x_pts, [y])
     n, d = x_pts.shape
+    lo, hi = options.log_theta_bounds
+    if starts is None:
+        starts = _starts(d, options.restarts, lo, hi)
+    else:
+        starts = np.atleast_2d(np.asarray(starts, dtype=float))
+        if starts.ndim != 2 or starts.shape[1] != d or not np.isfinite(starts).all():
+            raise ValueError(f"starts must be finite log-theta rows of length {d}")
+        starts = np.clip(starts, lo, hi)
     if n == 1 or _is_constant(y):
-        return np.ones(d)
+        return np.ones(d), 0
     diffs = _sq_diffs(x_pts)
     # one column-major copy, so products round alike whatever y's layout
     block = _ones_block(y)
@@ -307,10 +330,8 @@ def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
             scores[key] = _profile_nll(diffs, block, options.nugget, log_theta)
         return scores[key]
 
-    lo, hi = options.log_theta_bounds
     best_x, best_f = min(
-        (_coordinate_search(objective, x0, lo, hi)
-         for x0 in _starts(d, options.restarts, lo, hi)),
+        (_coordinate_search(objective, x0, lo, hi) for x0 in starts),
         key=lambda searched: searched[1],
     )
     if best_f == np.inf:
@@ -329,7 +350,7 @@ def fit_theta(x_pts, y, options: FitOptions = None) -> np.ndarray:
         len(scores), repeats, list(scores.values()).count(np.inf),
         int(np.sum((best_x <= lo) | (best_x >= hi))), d,
     )
-    return np.exp(best_x)
+    return np.exp(best_x), len(scores)
 
 
 def fit(x_pts, y, options: FitOptions = None) -> KrigingModel:
@@ -348,7 +369,7 @@ def fit(x_pts, y, options: FitOptions = None) -> KrigingModel:
     return _build_model(x_pts, y, params)
 
 
-def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
+def fit_fixed(x_pts, theta, y, nugget: float, mu=None, diffs=None):
     """Closed-form ordinary-kriging fit at one fixed length-scale vector.
 
     ``y`` (..., n) stacks datasets on the shared input rows ``x_pts`` (n, d),
@@ -357,7 +378,9 @@ def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
     as on its own. Returns the generalized-least-squares mean mu (...), the
     variance estimate sigma2 (...) and alpha = R^-1 (y - mu) = L^-T (z - mu v)
     (..., n). A given ``mu`` (one read back from a file) is used as is, so
-    alpha is rebuilt exactly. Non-finite or mis-sized data raise ValueError.
+    alpha is rebuilt exactly. ``diffs``, the (n, n, d) squared differences
+    of ``x_pts`` (see _sq_diffs), lets fits on the same inputs share them.
+    Non-finite or mis-sized data raise ValueError.
     """
     x_pts, (y,) = _checked(x_pts, [y], axis=-1)
     (n, d), lead = x_pts.shape, y.shape[:-1]
@@ -365,7 +388,9 @@ def fit_fixed(x_pts, theta, y, nugget: float, mu=None):
     if theta.shape != (d,):
         raise ValueError(f"theta must be a ({d},) vector, got shape {theta.shape}")
     mu = None if mu is None else np.array(np.broadcast_to(mu, lead), dtype=float).ravel()
-    factor = _cholesky_or_raise(_sq_diffs(x_pts), theta, nugget)
+    if diffs is None:
+        diffs = _sq_diffs(x_pts)
+    factor = _cholesky_or_raise(diffs, theta, nugget)
     mu, sigma2, white = _gls(factor, _ones_block(y.reshape(-1, n).T), mu)
     # v rides along, so each residual is back-solved in a block of at least
     # two columns and rounds as it does in any other block
@@ -397,14 +422,16 @@ def predict(model: KrigingModel, x_new) -> float:
 
 
 class IndicatorKriging:
-    """Indicator kriging on fixed inputs under one shared correlation
-    parameter, factorized once for repeated weight queries."""
+    """Ordinary-kriging weights on fixed inputs under one correlation
+    parameter (the indicator weights when it is isotropic), factorized once
+    for repeated weight queries. ``diffs`` as in fit_fixed."""
 
-    def __init__(self, x_pts, params: CorrelationParams):
+    def __init__(self, x_pts, params: CorrelationParams, diffs=None):
         self.x_pts = _checked(x_pts)[0]
         self.theta = params.theta
-        self._factor = _cholesky_or_raise(_sq_diffs(self.x_pts), params.theta,
-                                          params.nugget)
+        if diffs is None:
+            diffs = _sq_diffs(self.x_pts)
+        self._factor = _cholesky_or_raise(diffs, params.theta, params.nugget)
         ones = np.ones(self.x_pts.shape[0])
         u = dpotrs(self._factor, ones, lower=1)[0]
         self._mu = u / (u @ ones)
@@ -412,7 +439,11 @@ class IndicatorKriging:
     def weights(self, x_new) -> np.ndarray:
         """Raw weights of the n inputs (see indicator_weights), (n,) at a query
         (d,) and (q, n) at a block (q, d), each row computed alike."""
-        _, r = _query_correlations(self.x_pts, self.theta, x_new)
+        return self.solve(_query_correlations(self.x_pts, self.theta, x_new)[1])
+
+    def solve(self, r) -> np.ndarray:
+        """Raw weights from the query's correlations r (n,) or (q, n) to the
+        inputs, for callers that build r themselves."""
         # w = mu (1 - 1'R^-1 r) + R^-1 r  with  mu = R^-1 1 / 1'R^-1 1
         solve = dpotrs(self._factor, r.T, lower=1)[0].T
         return (1.0 - solve.sum(axis=-1))[..., None] * self._mu + solve

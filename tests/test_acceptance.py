@@ -213,6 +213,16 @@ def test_criterion_07_heldout_max_within_one_percent(desk_pipeline):
     _pass(7, f"held-out max {max(errors):.2%}, mean {np.mean(errors):.2%}, within 1%")
 
 
+def test_criterion_07_heldout_max_within_five_hundredths_percent(desk_pipeline):
+    # beside the 1% gate: with the mean field kriged under its own
+    # length-scales every held-out design of the desk pipeline is within
+    # 0.05% (0.0136% measured); blending the mean with the mode weights
+    # leaves the worst at 0.43%
+    errors = [entry["rel_l2_error"] for entry in desk_pipeline["report"]["cases"].values()]
+    assert max(errors) <= 5e-4
+    _pass(7, f"held-out max {max(errors):.4%}, mean {np.mean(errors):.4%}, within 0.05%")
+
+
 def test_criterion_07_gate_on_another_desk_design():
     # the 5% gate on the benchmark's desk seed 25: train on its sliced design
     # and hold out the first 8 designs of its seed-26 held-out set, shrunk by

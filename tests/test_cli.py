@@ -302,6 +302,26 @@ class TestPipeline:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("shrink", [1.5, 0.0, -0.25, True, "0.5", None, float("nan")])
+    def test_shrink_outside_unit_interval_rejected_before_synthesis(self, tmp_path, capsys,
+                                                                    shrink):
+        cfg = small_config(tmp_path, test={"count": 2, "shrink": shrink})
+        assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+        assert f"test.shrink must be a number in (0, 1], got {shrink!r}" \
+            in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("shrink", [1, 0.5])
+    def test_shrink_in_unit_interval_accepted(self, tmp_path, shrink):
+        cfg = small_config(tmp_path, test={"count": 2, "shrink": shrink})
+        assert cli.main(["pipeline", "--config", str(cfg)]) == 0
+        designs = [read_dataset(p).design
+                   for p in sorted((tmp_path / "data" / "test").glob("*.kspd"))]
+        lo, hi = np.array([0.0, 10.0]), np.array([1.0, 20.0])
+        margin = 0.5 * (1.0 - shrink) * (hi - lo)
+        for x in designs:
+            assert np.all(x >= lo + margin - 1e-12) and np.all(x <= hi - margin + 1e-12)
+
     def test_config_not_found(self, tmp_path):
         assert cli.main(["pipeline", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import kspod
+import kspod.emulator
+import kspod.kriging
 from kspod.emulator import (
+    MEAN_WEIGHT_NUGGET,
     TrainOptions,
     _assemble,
     _normalize_raw,
@@ -27,7 +30,7 @@ from kspod.errors import (
     IncompatibleCasesError,
     NonFiniteDataError,
 )
-from kspod.kriging import FitOptions, fit_theta
+from kspod.kriging import CorrelationParams, FitOptions, IndicatorKriging, fit_theta
 from kspod.pod import PODBasis, decompose, reconstruct, truncate
 from kspod.snapshots import SnapshotSet, read_dataset, write_dataset
 from test_kriging import dense_predict
@@ -50,6 +53,45 @@ def analytic_case(amp1, amp2, design, case_id, m=16):
 @pytest.fixture(scope="module")
 def uncentered_model(desk_setup, small_cases):
     return train(small_cases, TrainOptions(ranges=desk_setup["ranges"], centering=False))
+
+
+BENCHMARK_SHAPES = {  # slices, per-slice, grid side, snapshots
+    "desk": (5, 6, 50, 100),
+    "dense-design": (8, 10, 24, 30),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BENCHMARK_SHAPES))
+def benchmark_model(request):
+    """The benchmark's seed-1 model of one workload and its 16 query designs."""
+    slices, per_slice, side, snapshots = BENCHMARK_SHAPES[request.param]
+    ranges = kspod.SWIRL_DESIGN_RANGES
+    grid, times = kspod.make_grid(side, side), kspod.make_times(snapshots)
+    recipe = kspod.default_recipe(ranges)
+    design = kspod.scale_design(kspod.generate_slhd(slices, per_slice, 3, seed=1), ranges)
+    model = train([kspod.synth_flowfield(x, grid, times, recipe) for x in design],
+                  TrainOptions(ranges=ranges))
+    queries = ranges.scale(np.random.default_rng([1, 2]).uniform(0.125, 0.875, size=(16, 3)))
+    return model, queries
+
+
+def composed_field(model, x, indices=None):
+    """predict_field composed from separate parts: every library row blended
+    with weight_vector's normalized weights, except that the mean row of a
+    model with mean_theta takes ordinary-kriging weights under it at
+    MEAN_WEIGHT_NUGGET, factorized here; then the coefficients from
+    predict_coefficients, with a row of ones for the mean."""
+    w = weight_vector(model, x).normalized
+    rows = np.einsum("n,nkj->kj", w, model.library)
+    beta = predict_coefficients(model, x, indices)
+    if model.centering:
+        if model.mean_theta is not None:
+            unit = model.ranges.normalize(model.design)
+            mean_weights = IndicatorKriging(unit, CorrelationParams(
+                model.mean_theta, MEAN_WEIGHT_NUGGET)).weights(model.ranges.normalize(x))
+            rows[model.rank] = mean_weights @ model.library[:, model.rank]
+        beta = np.vstack((beta, np.ones(beta.shape[1])))
+    return rows.T @ beta
 
 
 class TestTrain:
@@ -133,8 +175,8 @@ class TestTrain:
                    if r.name == "kspod" and r.levelno == logging.INFO]
         stages = [r.getMessage().split()[1] for r in records]
         assert stages == ["decomposed", "common"] + ["mode"] * model.rank \
-            + ["fixed", "weight"]
-        decomposed, ranked, *modes, fixed, weight = records
+            + ["fixed", "weight", "mean"]
+        decomposed, ranked, *modes, fixed, weight, mean = records
         assert decomposed.args[0] == len(small_cases)
         assert ranked.args[0] == model.rank == small_model.rank
         threshold = model.options_record["energy_threshold"]
@@ -144,10 +186,28 @@ class TestTrain:
             assert np.array_equal(rec.args[1], model.coeff_theta[k])
         assert fixed.args[0] == model.coeff_mu.size
         assert weight.args[:2] == (model.options_record["weight_theta"], "fitted")
+        # the mean stage: its length-scales, the mean weights' identity
+        # residual at the training designs, and the distinct length-scales
+        # its one search scored
+        theta_mean, resid, scored = mean.args[:3]
+        assert np.array_equal(theta_mean, model.mean_theta)
+        unit = model.ranges.normalize(model.design)
+        weights = model._mean_kriging.weights(unit)
+        assert resid == np.abs(weights - np.eye(model.n_cases)).max()
+        # the weights need not be the identity, but the mean fields they
+        # blend at the training designs are the training means
+        means = model.library[:, -1]
+        assert np.abs(weights @ means - means).max() <= 1e-6 * np.abs(means).max()
+        assert scored >= 1
         for rec in records:
             assert 0.0 <= rec.args[-1] < 6e4, rec.getMessage()
         # diagnostics go to the logger only
         assert capsys.readouterr().out == ""
+        # an uncentered model has no mean field to krige
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="kspod"):
+            train(small_cases, TrainOptions(ranges=desk_setup["ranges"], centering=False))
+        assert "mean" not in [r.getMessage().split()[1] for r in caplog.records]
 
     def test_zero_variance_cases_rejected(self):
         grid = np.zeros((3, 2))
@@ -276,6 +336,33 @@ class TestPrediction:
                 assert np.array_equal(predict_coefficients(model, x, [q])[:, 0],
                                       full[:, q])
 
+    def test_fused_field_equals_composed_parts(self, benchmark_model):
+        # the one-pass predict_field against its parts computed apart, full
+        # histories and single steps, at the benchmark's 16 query designs
+        model, queries = benchmark_model
+        assert model.mean_theta is not None
+        for x in queries:
+            for indices in (None, [0], [model.num_snapshots // 2], [model.num_snapshots - 1]):
+                expected = composed_field(model, x, indices)
+                fld = predict_field(model, x, indices)
+                assert np.abs(fld - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_square_differences_built_once_per_model(self, small_model, monkeypatch):
+        # the coefficient fits and both weight factors share one (n, n, d)
+        # array of squared design differences
+        calls, original = [], kspod.kriging._sq_diffs
+
+        def counting(x_pts):
+            calls.append(x_pts.shape)
+            return original(x_pts)
+
+        monkeypatch.setattr(kspod.kriging, "_sq_diffs", counting)
+        monkeypatch.setattr(kspod.emulator, "_sq_diffs", counting)
+        rebuilt = dataclasses.replace(small_model)
+        assert calls == [(small_model.n_cases, small_model.dims)]
+        assert rebuilt._mean_kriging is not None
+        assert np.array_equal(rebuilt.coeff_alpha, small_model.coeff_alpha)
+
     def test_constant_coefficients_predicted_exactly(self):
         # identical fluctuation fields shifted by per-case constants: after
         # centering every case carries the same coefficients
@@ -348,8 +435,11 @@ class TestPrediction:
         assert modes.shape == (model.num_points, model.rank)
         expected = modes @ predict_coefficients(model, x, indices)
         if model.centering:
-            w = weight_vector(model, x).normalized
-            expected += (w @ model.library[:, -1])[:, None]
+            # the mean field takes the ordinary-kriging weights under mean_theta
+            unit = model.ranges.normalize(model.design)
+            mean_weights = IndicatorKriging(unit, CorrelationParams(
+                model.mean_theta, MEAN_WEIGHT_NUGGET)).weights(model.ranges.normalize(x))
+            expected += (mean_weights @ model.library[:, -1])[:, None]
         fld = predict_field(model, x, indices)
         count = model.num_snapshots if indices is None else len(indices)
         assert fld.shape == (model.num_points, count)
@@ -372,10 +462,14 @@ class TestPrediction:
         beta = predict_coefficients(model, x, indices)
         if model.centering:
             beta = np.vstack((beta, np.ones(beta.shape[1])))
-        w = weight_vector(model, x).normalized
-        blend = np.einsum("n,nkj->kj", w, model.library)
-        bound = np.einsum("n,nkj->jk", np.abs(w), np.abs(model.library)) @ np.abs(beta)
-        ulps = 4 * (w.size + beta.shape[0]) * np.finfo(float).eps
+        # one weight vector per library row: the mode weights, and for the
+        # mean row the model's own ordinary-kriging weights under mean_theta
+        w = np.repeat(weight_vector(model, x).normalized[:, None], beta.shape[0], axis=1)
+        if model.mean_theta is not None:
+            w[:, -1] = model._mean_kriging.weights(model.ranges.normalize(x))
+        blend = np.einsum("nk,nkj->kj", w, model.library)
+        bound = np.einsum("nk,nkj->jk", np.abs(w), np.abs(model.library)) @ np.abs(beta)
+        ulps = 4 * (w.shape[0] + beta.shape[0]) * np.finfo(float).eps
         assert np.all(np.abs(fld - blend.T @ beta) <= ulps * bound)
         snapshots = predict_snapshots(model, x)
         path = tmp_path / "predicted.kspd"
@@ -473,6 +567,50 @@ class TestSerialization:
         assert np.array_equal(predict_field(loaded, probe),
                               predict_field(small_model, probe))
 
+    def test_ksem2_round_trip(self, small_model, desk_setup, tmp_path):
+        # a centered model is KSEM2: the KSEM1 layout, then mean_theta
+        path = tmp_path / "model.ksem"
+        save_model(small_model, path)
+        data = path.read_bytes()
+        assert data[:6] == b"KSEM2\n"
+        d = small_model.dims
+        assert np.array_equal(np.frombuffer(data, "<f8", d, len(data) - 8 * d),
+                              small_model.mean_theta)
+        loaded = load_model(path)
+        assert np.array_equal(loaded.mean_theta, small_model.mean_theta)
+        probe = desk_setup["ranges"].scale(np.array([0.3, 0.6, 0.9]))
+        for indices in (None, [4], [0, 7, 2]):
+            assert np.array_equal(predict_field(loaded, probe, indices),
+                                  predict_field(small_model, probe, indices))
+        without = dataclasses.replace(small_model, mean_theta=None)
+        save_model(without, tmp_path / "ksem1.ksem")
+        assert (tmp_path / "ksem1.ksem").read_bytes() == b"KSEM1" + data[5:-8 * d]
+
+    def test_bad_mean_theta_rejected(self, small_model, uncentered_model, tmp_path):
+        path = tmp_path / "model.ksem"
+        save_model(small_model, path)
+        data = path.read_bytes()
+        d = small_model.dims
+        for i, value in enumerate((-1.0, 0.0, np.nan, np.inf)):
+            patched = bytearray(data)
+            patched[len(data) - 8 * d:len(data) - 8 * d + 8] = np.float64(value).tobytes()
+            bad = tmp_path / f"bad{i}.ksem"
+            bad.write_bytes(bytes(patched))
+            with pytest.raises(ValueError) as caught:
+                load_model(bad)
+            assert str(bad) in str(caught.value) and "mean-field" in str(caught.value)
+        # an uncentered model has no mean field, in memory or on file
+        with pytest.raises(ValueError):
+            dataclasses.replace(uncentered_model, mean_theta=small_model.mean_theta)
+        save_model(uncentered_model, path)
+        data = path.read_bytes()
+        assert data[:6] == b"KSEM1\n"
+        bad = tmp_path / "uncentered.ksem"
+        bad.write_bytes(b"KSEM2" + data[5:] + small_model.mean_theta.tobytes())
+        with pytest.raises(ValueError) as caught:
+            load_model(bad)
+        assert str(bad) in str(caught.value)
+
     def test_rewrite_byte_identical(self, small_model, tmp_path):
         p1, p2 = tmp_path / "a.ksem", tmp_path / "b.ksem"
         save_model(small_model, p1)
@@ -488,6 +626,7 @@ class TestSerialization:
             dataclasses.replace(small_model, coeff_theta=2.0 * small_model.coeff_theta),
             dataclasses.replace(small_model, options_record={
                 **small_model.options_record, "weight_theta": 2.0}),
+            dataclasses.replace(small_model, mean_theta=2.0 * small_model.mean_theta),
         ]
         probe = desk_setup["ranges"].scale(np.array([0.3, 0.6, 0.9]))
         base = predict_field(small_model, probe)
@@ -515,7 +654,7 @@ class TestSerialization:
             small_model.coeff_theta[...] *= 2
         for name in ("design", "library", "eigenvalues", "coefficients",
                      "coeff_theta", "coeff_mu", "coeff_sigma2", "grid",
-                     "times", "coeff_alpha"):
+                     "times", "coeff_alpha", "mean_theta"):
             assert not getattr(small_model, name).flags.writeable, name
         record = {**small_model.options_record, "weight_theta": 2.0}
         assert record["nugget"] == small_model.options_record["nugget"]
@@ -561,6 +700,24 @@ class TestSerialization:
         assert np.array_equal(coeffs, model.coefficients[..., 0].T)
         if model.centering:
             assert np.array_equal(take(j), model.library[0, k_rank])
+
+    @pytest.mark.parametrize("name", ["centered", "uncentered"])
+    def test_golden_file_predicts_by_the_ksem1_rule(self, name):
+        # a KSEM1 model has no mean_theta: every library row, the mean field
+        # included, is blended with the normalized indicator weights, bit for
+        # bit as composed here from weight_vector and predict_coefficients
+        model = load_model(DATA / f"ksem1_{name}.ksem")
+        assert model.mean_theta is None
+        rng = np.random.default_rng(3)
+        for x in model.ranges.scale(rng.uniform(0.1, 0.9, size=(4, model.dims))):
+            for indices in (None, [1], [5, 0]):
+                beta = predict_coefficients(model, x, indices)
+                if model.centering:
+                    beta = np.vstack((beta, np.ones(beta.shape[1])))
+                w = weight_vector(model, x).normalized
+                n = model.n_cases
+                rows = (w @ model.library.reshape(n, -1)).reshape(model.library.shape[1:])
+                assert np.array_equal(predict_field(model, x, indices), (beta.T @ rows).T)
 
     def test_options_record_survives(self, small_model, tmp_path):
         path = tmp_path / "model.ksem"

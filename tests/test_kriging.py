@@ -215,6 +215,34 @@ class TestCholeskyPath:
         assert diffs.flags.c_contiguous
         assert np.array_equal(diffs, (x_pts[:, None, :] - x_pts[None, :, :]) ** 2)
 
+    @pytest.mark.parametrize("n, d", [(5, 1), (30, 3), (80, 3), (40, 8)])
+    def test_one_gemv_exponent_matches_stacked_products(self, n, d):
+        # the (n * n, d) gemv builds the same exponent, bit for bit, as the
+        # (n, n, d) operand's n products of (n, d) by (d,)
+        rng = np.random.default_rng(n + d)
+        diffs = kriging._sq_diffs(rng.uniform(size=(n, d)))
+        theta = np.exp(rng.uniform(-2.0, 2.0, size=d))
+        rmat = diffs @ -theta
+        np.exp(rmat, out=rmat)
+        rmat.flat[::n + 1] += DEFAULT_NUGGET
+        expected = kriging.dpotrf(rmat.T, lower=1, clean=0)[0]
+        assert np.array_equal(kriging._cholesky(diffs, theta, DEFAULT_NUGGET), expected)
+
+    def test_shared_square_differences(self):
+        # fits and weight factors given the inputs' squared differences
+        # equal those that build them
+        rng = np.random.default_rng(20)
+        x_pts = rng.uniform(size=(9, 2))
+        diffs, theta = kriging._sq_diffs(x_pts), np.array([0.7, 2.0])
+        y = rng.normal(size=(3, 9))
+        for a, b in zip(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET),
+                        fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, diffs=diffs)):
+            assert np.array_equal(a, b)
+        params = CorrelationParams(theta)
+        queries = rng.uniform(size=(4, 2))
+        assert np.array_equal(IndicatorKriging(x_pts, params, diffs).weights(queries),
+                              IndicatorKriging(x_pts, params).weights(queries))
+
     def test_given_mu_rebuilds_alpha(self, monkeypatch):
         # stacked (2, 3) systems under one theta: one factorization, one
         # forward and one back block solve, and every system still solved
@@ -330,6 +358,29 @@ class TestBlockSearch:
         y = np.column_stack([[1.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
         with pytest.raises(IllConditionedError):
             fit_theta(x_pts, y, FitOptions(nugget=0.0, restarts=1))
+
+    def test_given_starts(self, caplog):
+        # starts replace the start table: the box centre alone is restarts=1,
+        # points outside the box are clipped to it, and several starts keep
+        # the best end point
+        x_pts, block = self.block_inputs()
+        lo, hi = DEFAULT_LOG_THETA_BOUNDS
+        one = fit_theta(x_pts, block, FitOptions(restarts=1))
+        assert np.array_equal(fit_theta(x_pts, block, starts=np.zeros(3)), one)
+        assert np.array_equal(fit_theta(x_pts, block, starts=[[-9.0, 1.0, 20.0]]),
+                              fit_theta(x_pts, block, starts=[[lo, 1.0, hi]]))
+        table = kriging._starts(3, 8, lo, hi)
+        assert np.array_equal(fit_theta(x_pts, block, starts=table), fit_theta(x_pts, block))
+        # the distinct length-scales scored are counted for the caller
+        theta, scored = kriging._search_theta(x_pts, block, starts=np.log(one))
+        assert np.array_equal(theta, one)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="kspod"):
+            fit_theta(x_pts, block, starts=np.log(one))
+        assert caplog.records[-1].args[0] == scored > 0
+        for bad in ([0.0, 0.0], [[0.0, np.nan, 0.0]], np.zeros((2, 2, 3))):
+            with pytest.raises(ValueError, match="starts"):
+                fit_theta(x_pts, block, starts=bad)
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_theta_independent_of_memory_layout(self, layout):
