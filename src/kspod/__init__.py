@@ -2,8 +2,9 @@
 
 Subpackages: experimental design (``design``), snapshot datasets and the
 synthetic oracle (``snapshots``), proper orthogonal decomposition (``pod``),
-ordinary kriging (``kriging``), the emulator itself (``emulator``),
-evaluation metrics (``metrics``), and the command-line pipeline (``cli``).
+ordinary kriging (``kriging``: the length-scale search and one class per
+factorized design GP), the emulator itself (``emulator``), evaluation
+metrics (``metrics``), and the command-line pipeline (``cli``).
 """
 
 from . import errors
@@ -39,11 +40,7 @@ from .emulator import (
 from .kriging import (
     CorrelationParams,
     FitOptions,
-    KrigingModel,
-    fit,
     fit_indicator_theta,
-    indicator_weights,
-    predict,
 )
 from .metrics import (
     AxialErrorProfile,

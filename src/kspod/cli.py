@@ -109,12 +109,26 @@ def _grid_times(cfg: dict):
     return grid, times
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _train_options(cfg: dict) -> TrainOptions:
     pod_cfg = cfg["pod"]
     krg = cfg["kriging"]
     threshold = pod_cfg["energy_threshold"]
     if not isinstance(pod_cfg["centering"], bool):
         raise ConfigError(f"pod.centering must be a boolean, got {pod_cfg['centering']!r}")
+    # null stands for the default where it may; TrainOptions checks the counts
+    for name, value, nullable in (("pod.energy_threshold", threshold, True),
+                                  ("kriging.nugget", krg["nugget"], False),
+                                  ("kriging.weight_theta", krg["weight_theta"], True)):
+        if not (_is_number(value) or nullable and value is None):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+    bounds = krg["log_theta_bounds"]
+    if not (isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))):
+        raise ConfigError(f"kriging.log_theta_bounds must be two numbers, got {bounds!r}")
     return TrainOptions(
         energy_threshold=0.99 if threshold is None else threshold,
         num_modes=pod_cfg["num_modes"],
@@ -272,8 +286,7 @@ def _interior_test_points(cfg) -> np.ndarray:
     # held-out designs are the Latin hypercube shrunk about the centre, so a
     # factor outside (0, 1] would leave the design box or collapse them
     shrink = t["shrink"]
-    if isinstance(shrink, bool) or not isinstance(shrink, (int, float)) \
-            or not 0.0 < shrink <= 1.0:
+    if not _is_number(shrink) or not 0.0 < shrink <= 1.0:
         raise ConfigError(f"test.shrink must be a number in (0, 1], got {shrink!r}")
     raw = generate_slhd(1, count, cfg["design"]["dims"], cfg["seed"] + 1)
     return 0.5 + shrink * (raw.points - 0.5)

@@ -42,10 +42,9 @@ from .kriging import (
     DEFAULT_NUGGET,
     CorrelationParams,
     FitOptions,
-    IndicatorKriging,
+    OrdinaryKriging,
     _search_theta,
     _sq_diffs,
-    fit_fixed,
     fit_indicator_theta,
     fit_theta,
 )
@@ -102,9 +101,9 @@ class TrainOptions:
 
     Exactly one truncation rule applies: ``num_modes`` when given, otherwise
     the cumulative ``energy_threshold``; ``num_modes`` and ``restarts`` must
-    be integers (numpy integers included). ``cluster_filter`` restricts
-    training to cases whose metadata cluster is listed (metadata must then
-    be supplied, aligned with the cases). ``ranges`` defaults to the
+    be integers (numpy integers included, booleans not). ``cluster_filter``
+    restricts training to cases whose metadata cluster is listed (metadata
+    must then be supplied, aligned with the cases). ``ranges`` defaults to the
     bounding box of the training designs. ``nugget``, ``log_theta_bounds``
     and ``restarts`` are checked as ``FitOptions`` and set the coefficient
     length-scale search, which runs once per mode on all its time-steps
@@ -131,7 +130,7 @@ class TrainOptions:
         if self.num_modes is None and not 0.0 < self.energy_threshold <= 1.0:
             raise ValueError("energy_threshold must lie in (0, 1]")
         if self.num_modes is not None:
-            if not isinstance(self.num_modes, numbers.Integral):
+            if isinstance(self.num_modes, bool) or not isinstance(self.num_modes, numbers.Integral):
                 raise ValueError(f"num_modes must be an integer, got {self.num_modes!r}")
             if self.num_modes < 1:
                 raise ValueError("num_modes must be at least 1")
@@ -176,11 +175,11 @@ class EmulatorModel:
     Everything else is derived from the fields, here and only here, so a
     model and its saved-and-loaded copy predict alike: ``rank`` (K), the
     weights ``coeff_alpha[k, q] = R^-1 (y - mu)`` (K, m, n) rebuilt from the
-    stored means, the isotropic ``weight_params``, and the factorized
-    indicator and mean-field kriging on the unit-cube design, which share
-    one array of squared design differences with the coefficient fits. The
-    stored arrays and
-    ``coeff_alpha`` are read-only and ``options_record`` is a read-only
+    stored means, the isotropic ``weight_params``, and the indicator and
+    mean-field weights on the unit-cube design. One ``OrdinaryKriging``
+    per length-scale (weights, mean, each mode) factorizes each of these
+    GPs, all on one array of squared design differences. The stored arrays
+    and ``coeff_alpha`` are read-only and ``options_record`` is a read-only
     mapping, so no field can change under the state derived from it; a
     changed model is a new one (``dataclasses.replace``).
     """
@@ -219,21 +218,22 @@ class EmulatorModel:
         nugget = self.options_record["nugget"]
         weight_params = CorrelationParams.isotropic(
             self.options_record["weight_theta"], self.dims, nugget)
-        alpha = np.stack([fit_fixed(unit, theta, y, nugget, mu, diffs)[2] for theta, y, mu in zip(
-            self.coeff_theta, self.coefficients, self.coeff_mu, strict=True)])
+        alpha = np.stack([
+            OrdinaryKriging(unit, CorrelationParams(th, nugget), diffs).fit(y, mu)[2]
+            for th, y, mu in zip(self.coeff_theta, self.coefficients, self.coeff_mu, strict=True)])
         alpha.flags.writeable = False
         # every length-scale a query correlates under, one row each: the
         # weights', the mean field's when it is kriged, then each mode's
         thetas = [weight_params.theta]
         mean_kriging = None
         if self.mean_theta is not None:
-            mean_kriging = IndicatorKriging(
+            mean_kriging = OrdinaryKriging(
                 unit, CorrelationParams(self.mean_theta, MEAN_WEIGHT_NUGGET), diffs)
             thetas.append(self.mean_theta)
         object.__setattr__(self, "coeff_alpha", alpha)
         object.__setattr__(self, "weight_params", weight_params)
         object.__setattr__(self, "_design_unit", unit)
-        object.__setattr__(self, "_indicator", IndicatorKriging(unit, weight_params, diffs))
+        object.__setattr__(self, "_indicator", OrdinaryKriging(unit, weight_params, diffs))
         object.__setattr__(self, "_mean_kriging", mean_kriging)
         object.__setattr__(self, "_query_theta", np.vstack([*thetas, self.coeff_theta]))
 
@@ -298,8 +298,9 @@ def train(cases, options: TrainOptions = None) -> EmulatorModel:
     fraction it captures in any case, and the alignment; each mode's
     length-scale search and its result; the fixed fit; the weight
     parameter; and, with centering, the mean-field length-scales with the
-    number of distinct ones scored and the identity residual
-    max |W_mean(X) - I| of the mean weights at the training designs.
+    number of distinct ones scored, the identity residual max |W_mean(X) - I|
+    of the mean weights at the training designs, and the largest relative
+    miss max_i |W_mean(X)_i means - mean_i| / |mean_i| of the mean rows.
     """
     options = options or TrainOptions()
     cases = list(cases)
@@ -368,8 +369,11 @@ def _assemble(design, bases, ref_case: SnapshotSet,
                   k, theta[k], _ms_since(t0))
     coefficients = np.ascontiguousarray(coeff_tensor.transpose(2, 1, 0))
     t0 = time.perf_counter()
-    mu, sigma2 = np.stack([fit_fixed(unit, th, y, options.nugget)[:2]
-                           for th, y in zip(theta, coefficients)], axis=1)
+    diffs = _sq_diffs(unit)
+    mu, sigma2 = np.stack([
+        OrdinaryKriging(unit, CorrelationParams(th, options.nugget), diffs).fit(y)[:2]
+        for th, y in zip(theta, coefficients)], axis=1)
+    del diffs  # the model builds its own; training's peak memory does not grow
     _log.info("train: fixed fit of %d coefficient models in %.1f ms",
               mu.size, _ms_since(t0))
     library = np.empty((len(aligned), k_rank + options.centering, ref_case.num_points))
@@ -425,9 +429,16 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         mean_theta=mean_theta,
     )
     if mean_theta is not None:
-        resid = np.abs(model._mean_kriging.weights(unit) - np.eye(len(unit))).max()
-        _log.info("train: mean length-scales %s, identity residual %.3e, %d "
-                  "distinct scored in %.1f ms", mean_theta, resid, scored, mean_ms)
+        # the identity residual overstates how far the blended mean rows miss
+        # the training means, so their largest relative miss goes beside it;
+        # one row at a time, so training's peak memory does not grow
+        weights, means = model._mean_kriging.weights(unit), library[:, k_rank]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero mean reads inf
+            miss = max(np.linalg.norm(w @ means - mean) / np.linalg.norm(mean)
+                       for w, mean in zip(weights, means))
+        _log.info("train: mean length-scales %s, identity residual %.3e, largest relative "
+                  "miss of the mean rows %.3e, %d distinct scored in %.1f ms", mean_theta,
+                  np.abs(weights - np.eye(len(unit))).max(), miss, scored, mean_ms)
     return model
 
 

@@ -9,20 +9,20 @@ keeps its own mean and variance. Every correlation matrix is factorized by
 one LAPACK Cholesky helper, and the search and the closed-form fit at
 fixed length-scales share one least-squares step: a whitened triangular
 solve against the factor. The search scores each distinct length-scale
-vector once; the fit factorizes once, solves its datasets as one block and
-back-solves their residuals. Prediction is the closed-form conditional mean.
-Indicator-vector kriging with one shared isotropic parameter provides
-per-case blending weights whose raw values sum to one identically; the
-parameter is a grid value whose weights keep interpolating while its lower
-neighbour's do not. The same factorized weights under a fitted anisotropic
-parameter are the ordinary-kriging weights of a whole block of datasets,
-such as the emulator's case mean fields.
+vector once. At fixed length-scales one class, ``OrdinaryKriging``,
+factorizes once for the closed-form fit of a block of datasets and for the
+ordinary-kriging weights of queries, which sum to one identically. Under
+one shared isotropic parameter they are the indicator weights that blend
+cases; the parameter is a grid value whose weights keep interpolating
+while its lower neighbour's do not. Under a fitted anisotropic parameter
+they krige a whole block of datasets, such as the emulator's case means.
 """
 
 import bisect
 import logging
 import numbers
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -33,14 +33,9 @@ from .errors import FitError, IllConditionedError
 __all__ = [
     "CorrelationParams",
     "FitOptions",
-    "IndicatorKriging",
-    "KrigingModel",
-    "fit",
-    "fit_fixed",
+    "OrdinaryKriging",
     "fit_indicator_theta",
     "fit_theta",
-    "indicator_weights",
-    "predict",
 ]
 
 DEFAULT_NUGGET = 1e-8
@@ -72,7 +67,7 @@ class CorrelationParams:
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         if theta.ndim != 1 or theta.size < 1:
             raise ValueError("theta must be a nonempty vector")
-        if np.any(~np.isfinite(theta)) or np.any(theta <= 0.0):
+        if not (np.isfinite(theta).all() and (theta > 0.0).all()):
             raise ValueError("theta entries must be positive and finite")
         if not np.isfinite(self.nugget) or self.nugget < 0.0:
             raise ValueError("nugget must be nonnegative")
@@ -99,43 +94,10 @@ class FitOptions:
         lo, hi = self.log_theta_bounds
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError("log_theta_bounds must be finite with lower < upper")
-        if not isinstance(self.restarts, numbers.Integral):
+        if isinstance(self.restarts, bool) or not isinstance(self.restarts, numbers.Integral):
             raise ValueError(f"restarts must be an integer, got {self.restarts!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-
-
-@dataclass(frozen=True)
-class KrigingModel:
-    """Fitted ordinary-kriging model; immutable, safe for concurrent predicts."""
-
-    inputs: np.ndarray            # (n, d)
-    obs: np.ndarray               # (n,)
-    params: CorrelationParams
-    mu_hat: float
-    sigma2_hat: float
-    alpha: np.ndarray = dataclass_field(repr=False, default=None)  # R^-1 (y - mu 1)
-
-    def __post_init__(self):
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        obs = np.atleast_1d(np.asarray(self.obs, dtype=float))
-        if obs.shape != (inputs.shape[0],):
-            raise ValueError("observation count must match input rows")
-        if self.params.theta.size != inputs.shape[1]:
-            raise ValueError("theta dimension must match input columns")
-        alpha = self.alpha
-        if alpha is None:
-            alpha = fit_fixed(inputs, self.params.theta, obs,
-                              self.params.nugget, mu=self.mu_hat)[2]
-        else:
-            alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        for arr in (inputs, obs, alpha):
-            arr.flags.writeable = False
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "obs", obs)
-        object.__setattr__(self, "alpha", alpha)
-
-    __reduce__ = reduce_by_constructor
 
 
 def _sq_diffs(x_pts: np.ndarray) -> np.ndarray:
@@ -171,16 +133,6 @@ def _cholesky(diffs, theta, nugget):
     # LAPACK factorizes it in place
     factor, info = dpotrf(rmat.T, lower=1, clean=0, overwrite_a=1)
     return factor if info == 0 else None
-
-
-def _cholesky_or_raise(diffs, theta, nugget):
-    factor = _cholesky(diffs, theta, nugget)
-    if factor is None:
-        raise IllConditionedError(
-            "correlation matrix is not positive definite; distinct inputs "
-            "or a nugget are required"
-        )
-    return factor
 
 
 def _ones_block(y):
@@ -337,7 +289,7 @@ def _search_theta(x_pts, y, options: FitOptions = None, starts=None):
     if best_f == np.inf:
         # a singular correlation matrix (duplicate rows, no nugget) makes
         # the likelihood undefined everywhere; report it as such
-        _cholesky_or_raise(diffs, np.ones(d), options.nugget)
+        OrdinaryKriging(x_pts, CorrelationParams(np.ones(d), options.nugget), diffs)
         raise FitError(
             "likelihood not finite anywhere in the search box",
             best_theta=np.exp(best_x),
@@ -353,113 +305,69 @@ def _search_theta(x_pts, y, options: FitOptions = None, starts=None):
     return np.exp(best_x), len(scores)
 
 
-def fit(x_pts, y, options: FitOptions = None) -> KrigingModel:
-    """Fit ordinary kriging to observations y at input rows x_pts.
-
-    Rows of x_pts should be distinct; exact duplicates with a zero nugget
-    raise IllConditionedError. Constant observations skip the search (every
-    theta predicts the constant) and keep theta = 1.
-    """
-    options = options or FitOptions()
-    x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (x_pts.shape[0],):
-        raise ValueError("observation count must match input rows")
-    params = CorrelationParams(fit_theta(x_pts, y, options), options.nugget)
-    return _build_model(x_pts, y, params)
-
-
-def fit_fixed(x_pts, theta, y, nugget: float, mu=None, diffs=None):
-    """Closed-form ordinary-kriging fit at one fixed length-scale vector.
-
-    ``y`` (..., n) stacks datasets on the shared input rows ``x_pts`` (n, d),
-    one per leading index, all under ``theta`` (d,). R is factorized once
-    and the datasets solved as one (n, q) block by _gls, each fitted exactly
-    as on its own. Returns the generalized-least-squares mean mu (...), the
-    variance estimate sigma2 (...) and alpha = R^-1 (y - mu) = L^-T (z - mu v)
-    (..., n). A given ``mu`` (one read back from a file) is used as is, so
-    alpha is rebuilt exactly. ``diffs``, the (n, n, d) squared differences
-    of ``x_pts`` (see _sq_diffs), lets fits on the same inputs share them.
-    Non-finite or mis-sized data raise ValueError.
-    """
-    x_pts, (y,) = _checked(x_pts, [y], axis=-1)
-    (n, d), lead = x_pts.shape, y.shape[:-1]
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (d,):
-        raise ValueError(f"theta must be a ({d},) vector, got shape {theta.shape}")
-    mu = None if mu is None else np.array(np.broadcast_to(mu, lead), dtype=float).ravel()
-    if diffs is None:
-        diffs = _sq_diffs(x_pts)
-    factor = _cholesky_or_raise(diffs, theta, nugget)
-    mu, sigma2, white = _gls(factor, _ones_block(y.reshape(-1, n).T), mu)
-    # v rides along, so each residual is back-solved in a block of at least
-    # two columns and rounds as it does in any other block
-    alpha = dtrtrs(factor, white, lower=1, trans=1)[0][:, 1:].T
-    return mu.reshape(lead), sigma2.reshape(lead), alpha.reshape(y.shape)
-
-
-def _build_model(x_pts, y, params: CorrelationParams) -> KrigingModel:
-    mu, sigma2, alpha = fit_fixed(x_pts, params.theta, y, params.nugget)
-    return KrigingModel(x_pts, y, params, float(mu), float(sigma2), alpha)
-
-
-def _query_correlations(x_pts, theta, x_new):
-    """A query (d,) or block (q, d) and its input correlations, (n,) or (q, n)."""
-    x_new, d = np.atleast_1d(np.asarray(x_new, dtype=float)), x_pts.shape[1]
-    if x_new.ndim > 2 or x_new.shape[-1] != d:
-        raise ValueError(f"query must be a ({d},) vector or (q, {d}) array")
-    return x_new, np.exp(-((x_pts - x_new[..., None, :]) ** 2) @ theta)
-
-
-def predict(model: KrigingModel, x_new) -> float:
-    """Conditional mean mu + r' R^-1 (y - mu 1) at a new point.
-
-    Also accepts a (q, d) array of query points, returning a (q,) vector.
-    """
-    x_new, r = _query_correlations(model.inputs, model.params.theta, x_new)
-    value = model.mu_hat + r @ model.alpha
-    return float(value) if x_new.ndim == 1 else value
-
-
-class IndicatorKriging:
-    """Ordinary-kriging weights on fixed inputs under one correlation
-    parameter (the indicator weights when it is isotropic), factorized once
-    for repeated weight queries. ``diffs`` as in fit_fixed."""
+class OrdinaryKriging:
+    """Ordinary kriging on inputs (n, d) under one correlation parameter
+    with a (d,) theta: fits and weights share one Cholesky factor of
+    R(theta) + nugget I. ``diffs``, the (n, n, d) squared differences of
+    ``x_pts`` (see _sq_diffs), lets objects on the same inputs share them.
+    Non-finite inputs or a mis-sized theta raise ValueError, and an R that
+    is not positive definite raises IllConditionedError."""
 
     def __init__(self, x_pts, params: CorrelationParams, diffs=None):
         self.x_pts = _checked(x_pts)[0]
+        d = self.x_pts.shape[1]
         self.theta = params.theta
+        if self.theta.shape != (d,):
+            raise ValueError(f"theta must be a ({d},) vector, got shape {self.theta.shape}")
         if diffs is None:
             diffs = _sq_diffs(self.x_pts)
-        self._factor = _cholesky_or_raise(diffs, params.theta, params.nugget)
-        ones = np.ones(self.x_pts.shape[0])
+        self._factor = _cholesky(diffs, self.theta, params.nugget)
+        if self._factor is None:
+            raise IllConditionedError("correlation matrix is not positive definite; "
+                                      "distinct inputs or a nugget are required")
+
+    @cached_property
+    def _mu(self):
+        """R^-1 1 / 1'R^-1 1, solved on the first weight query: an object that
+        only fits (each mode's, rebuilt on every load) never needs it."""
+        ones = np.ones(self._factor.shape[0])
         u = dpotrs(self._factor, ones, lower=1)[0]
-        self._mu = u / (u @ ones)
+        return u / (u @ ones)
+
+    def fit(self, y, mu=None):
+        """Closed-form fit of datasets ``y`` (..., n), one per leading index,
+        solved as one (n, q) block by _gls, each exactly as on its own.
+        Returns the generalized-least-squares mean mu (...), the variance
+        sigma2 (...) and alpha = R^-1 (y - mu) = L^-T (z - mu v) (..., n). A
+        given ``mu`` (one read back from a file) is used as is, so alpha is
+        rebuilt exactly. Non-finite or mis-sized data raise ValueError."""
+        y = _checked(self.x_pts, [y], axis=-1)[1][0]
+        lead = y.shape[:-1]
+        mu = None if mu is None else np.array(np.broadcast_to(mu, lead), dtype=float).ravel()
+        mu, sigma2, white = _gls(self._factor, _ones_block(y.reshape(-1, y.shape[-1]).T), mu)
+        # v rides along, so each residual is back-solved in a block of at least
+        # two columns and rounds as it does in any other block
+        alpha = dtrtrs(self._factor, white, lower=1, trans=1)[0][:, 1:].T
+        return mu.reshape(lead), sigma2.reshape(lead), alpha.reshape(y.shape)
 
     def weights(self, x_new) -> np.ndarray:
-        """Raw weights of the n inputs (see indicator_weights), (n,) at a query
-        (d,) and (q, n) at a block (q, d), each row computed alike."""
-        return self.solve(_query_correlations(self.x_pts, self.theta, x_new)[1])
+        """Weights (n,) of the inputs at a query (d,), or (q, n) at a block
+        (q, d), each row computed alike. Weight i predicts the i-th unit
+        vector, so the weights sum to one identically and may be negative.
+        A non-finite query raises ValueError."""
+        x_new, d = np.atleast_1d(np.asarray(x_new, dtype=float)), self.x_pts.shape[1]
+        if x_new.ndim > 2 or x_new.shape[-1] != d:
+            raise ValueError(f"query must be a ({d},) vector or (q, {d}) array")
+        if not np.isfinite(x_new).all():
+            raise ValueError("query must be finite")
+        return self.solve(np.exp(-((self.x_pts - x_new[..., None, :]) ** 2) @ self.theta))
 
     def solve(self, r) -> np.ndarray:
-        """Raw weights from the query's correlations r (n,) or (q, n) to the
+        """Weights from the query's correlations r (n,) or (q, n) to the
         inputs, for callers that build r themselves."""
         # w = mu (1 - 1'R^-1 r) + R^-1 r  with  mu = R^-1 1 / 1'R^-1 1
         solve = dpotrs(self._factor, r.T, lower=1)[0].T
         return (1.0 - solve.sum(axis=-1))[..., None] * self._mu + solve
-
-
-def indicator_weights(x_pts, params: CorrelationParams, x_new) -> np.ndarray:
-    """Kriging weights from the n unit-vector targets under one shared theta.
-
-    Weight i is the ordinary-kriging prediction of the i-th indicator vector
-    at x_new. Under a shared correlation parameter all n predictions come
-    from one linear predictor, so the raw weights sum to one identically
-    (and individual weights may be negative).
-    """
-    if not np.all(np.isfinite(x_new)):
-        raise ValueError("query must be finite")
-    return IndicatorKriging(x_pts, params).weights(x_new)
 
 
 def fit_indicator_theta(x_pts, nugget: float = DEFAULT_NUGGET,
@@ -486,8 +394,7 @@ def fit_indicator_theta(x_pts, nugget: float = DEFAULT_NUGGET,
     def passes(k):
         try:
             params = CorrelationParams.isotropic(np.exp(grid[k]), d, nugget)
-            weights = IndicatorKriging(x_pts, params).weights(x_pts)
-            resids[k] = np.abs(weights - np.eye(n)).max()
+            resids[k] = np.abs(OrdinaryKriging(x_pts, params).weights(x_pts) - np.eye(n)).max()
         except IllConditionedError:
             resids[k] = np.inf
         return resids[k] <= IDENTITY_TOL

@@ -15,7 +15,7 @@ from scipy.integrate import trapezoid
 import kspod
 import kspod.cli as cli
 from kspod.errors import UndefinedBaselineError
-from kspod.kriging import CorrelationParams, fit, fit_indicator_theta, indicator_weights, predict
+from kspod.kriging import CorrelationParams, OrdinaryKriging, fit_indicator_theta, fit_theta
 from kspod.metrics import dominant_frequency, film_thickness_profile, kde, relative_error, spreading_angle
 from kspod.pod import decompose, reconstruct, truncate
 from kspod.snapshots import SnapshotSet, read_dataset, write_dataset
@@ -96,6 +96,18 @@ def test_criterion_02_pod_energy():
              "nondecreasing with terminal value 1")
 
 
+def _kriged(x_pts, y):
+    """The emulator's coefficient path for one dataset: fit_theta, then
+    OrdinaryKriging(...).fit. Returns the parameters and the conditional mean
+    mu + r . alpha at a query (d,) or a block (q, d)."""
+    params = CorrelationParams(fit_theta(x_pts, y))
+    mu, _, alpha = OrdinaryKriging(x_pts, params).fit(y)
+
+    def predict(x_new):
+        return mu + np.exp(-((x_pts - x_new[..., None, :]) ** 2) @ params.theta) @ alpha
+    return params, predict
+
+
 def test_criterion_03_kriging_interpolation():
     # Random sizes, designs and observations. Inputs come from the design
     # generator (bin-centered, so pairwise spacing is at least 1/n per
@@ -108,10 +120,10 @@ def test_criterion_03_kriging_interpolation():
         d = int(rng.integers(1, 5))
         x_pts = kspod.generate_slhd(1, n, d, seed=trial).points
         y = rng.normal(size=n)
-        model = fit(x_pts, y)
-        assert model.params.nugget == 1e-8
+        params, predict = _kriged(x_pts, y)
+        assert params.nugget == 1e-8
         tol = 1e-6 * np.ptp(y)
-        errs = np.abs(predict(model, x_pts) - y)
+        errs = np.abs(predict(x_pts) - y)
         worst = max(worst, float(errs.max() / np.ptp(y)))
         assert np.all(errs <= tol)
     _pass(3, f"100 random fits interpolate; worst |err|/range = {worst:.2e}")
@@ -123,8 +135,8 @@ def test_criterion_04_predictor_matches_dense_solve():
     for n in (3, 10, 25, 50):
         x_pts = rng.uniform(size=(n, 3))
         y = rng.normal(size=n)
-        model = fit(x_pts, y)
-        theta, nugget = model.params.theta, model.params.nugget
+        params, predict = _kriged(x_pts, y)
+        theta, nugget = params.theta, params.nugget
         diffs = (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
         rinv = np.linalg.inv(np.exp(-diffs @ theta) + nugget * np.eye(n))
         ones = np.ones(n)
@@ -132,7 +144,7 @@ def test_criterion_04_predictor_matches_dense_solve():
         for probe in rng.uniform(-0.2, 1.2, size=(5, 3)):
             r = np.exp(-((x_pts - probe) ** 2) @ theta)
             oracle = mu + r @ rinv @ (y - mu * ones)
-            delta = abs(predict(model, probe) - oracle)
+            delta = abs(predict(probe) - oracle)
             worst = max(worst, delta)
             assert delta <= 1e-10
     _pass(4, f"factorized predictor equals dense solve, worst |delta| = {worst:.1e}")
@@ -142,10 +154,10 @@ def test_criterion_05_indicator_weight_identities():
     design = kspod.generate_slhd(5, 6, 3, seed=0)
     x_pts = design.points
     theta_w = fit_indicator_theta(x_pts)
-    params = CorrelationParams.isotropic(theta_w, 3)
+    weights = OrdinaryKriging(x_pts, CorrelationParams.isotropic(theta_w, 3)).weights
 
     for j in range(x_pts.shape[0]):
-        w = indicator_weights(x_pts, params, x_pts[j])
+        w = weights(x_pts[j])
         unit = np.zeros(x_pts.shape[0])
         unit[j] = 1.0
         assert np.abs(w - unit).max() < 1e-6
@@ -154,7 +166,7 @@ def test_criterion_05_indicator_weight_identities():
     worst_sum = 0.0
     for _ in range(1000):
         probe = rng.uniform(size=3)
-        total = indicator_weights(x_pts, params, probe).sum()
+        total = weights(probe).sum()
         worst_sum = max(worst_sum, abs(total - 1.0))
     assert worst_sum <= 1e-8
 
@@ -162,10 +174,10 @@ def test_criterion_05_indicator_weight_identities():
     # is the smallest that keeps the identity above (about 8.2 here), and
     # the extrapolative probes below use a fixed moderate theta for the
     # no-clamping property
-    moderate = CorrelationParams.isotropic(5.0, 3)
+    moderate = OrdinaryKriging(x_pts, CorrelationParams.isotropic(5.0, 3)).weights
     negatives = 0
     for probe in rng.uniform(1.0, 1.3, size=(20, 3)):
-        w = indicator_weights(x_pts, moderate, probe)
+        w = moderate(probe)
         assert w.sum() == pytest.approx(1.0, abs=1e-8)
         if w.min() < 0.0:
             negatives += 1
@@ -176,13 +188,13 @@ def test_criterion_05_indicator_weight_identities():
 
 def test_criterion_06_gaussian_kernel_limit():
     corners = np.array([[float(b) for b in f"{i:03b}"] for i in range(8)])
-    params = CorrelationParams.isotropic(50.0, 3)
+    weights = OrdinaryKriging(corners, CorrelationParams.isotropic(50.0, 3)).weights
     worst = 0.0
     checked = 0
     for j in range(8):
         inward = np.where(corners[j] > 0.5, -0.02, 0.02)
         probe = corners[j] + inward
-        w = indicator_weights(corners, params, probe)
+        w = weights(probe)
         kernel = np.exp(-50.0 * np.sum((corners - probe) ** 2, axis=1))
         comparable = kernel > 1e-6
         assert comparable.any()

@@ -7,13 +7,17 @@ import kspod
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(kspod.__path__))
 
-# names that must stay gone: the package saves only KSPD1 and KSEM1 files,
-# and prediction never needs a pointwise correlation
+# names that must stay gone: the package saves only KSPD1 and KSEM files,
+# prediction never needs a pointwise correlation, and one class,
+# OrdinaryKriging, serves every fit and weight at fixed length-scales
+SINGLE_GP = ("KrigingModel", "fit", "predict", "indicator_weights")
 REMOVED = {
     "kspod": ("correlation", "read_basis", "write_basis", "read_model",
-              "write_model"),
+              "write_model", *SINGLE_GP),
     "kspod.pod": ("MAGIC", "read_basis", "write_basis"),
-    "kspod.kriging": ("MAGIC", "correlation", "read_model", "write_model"),
+    "kspod.kriging": ("MAGIC", "correlation", "read_model", "write_model", *SINGLE_GP,
+                      "_build_model", "_query_correlations", "fit_fixed",
+                      "IndicatorKriging"),
 }
 
 

@@ -285,15 +285,30 @@ class TestPipeline:
                                               ("kriging", "restarts")])
     def test_non_integral_count_rejected_before_synthesis(self, tmp_path, capsys,
                                                           section, key):
-        cfg = small_config(tmp_path, **{section: {key: 2.5}})
-        assert cli.main(["pipeline", "--config", str(cfg)]) == 1
-        assert f"{key} must be an integer, got 2.5" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        # a boolean is not a count either (true once trained a 1-mode model)
+        for value in (2.5, True):
+            cfg = small_config(tmp_path, **{section: {key: value}})
+            assert cli.main(["pipeline", "--config", str(cfg)]) == 1
+            assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("section, value, message", [
         ("pod", {"centering": "false"}, "pod.centering must be a boolean, got 'false'"),
         ("test", {"count": 2.5}, "test.count must be an integer, got 2.5"),
         ("test", {"count": True}, "test.count must be an integer, got True"),
+        # a string once raised a TypeError traceback, and true read as 1.0
+        ("pod", {"energy_threshold": "0.9"}, "pod.energy_threshold must be a number, got '0.9'"),
+        ("pod", {"energy_threshold": True}, "pod.energy_threshold must be a number, got True"),
+        ("kriging", {"nugget": True}, "kriging.nugget must be a number, got True"),
+        ("kriging", {"nugget": None}, "kriging.nugget must be a number, got None"),
+        ("kriging", {"weight_theta": True}, "kriging.weight_theta must be a number, got True"),
+        ("kriging", {"weight_theta": "5"}, "kriging.weight_theta must be a number, got '5'"),
+        ("kriging", {"log_theta_bounds": [-6.0, True]},
+         "kriging.log_theta_bounds must be two numbers, got [-6.0, True]"),
+        ("kriging", {"log_theta_bounds": ["-6", 6.0]},
+         "kriging.log_theta_bounds must be two numbers, got ['-6', 6.0]"),
+        ("kriging", {"log_theta_bounds": [-6.0]},
+         "kriging.log_theta_bounds must be two numbers, got [-6.0]"),
     ])
     def test_mistyped_option_rejected_before_synthesis(self, tmp_path, capsys,
                                                      section, value, message):

@@ -30,7 +30,7 @@ from kspod.errors import (
     IncompatibleCasesError,
     NonFiniteDataError,
 )
-from kspod.kriging import CorrelationParams, FitOptions, IndicatorKriging, fit_theta
+from kspod.kriging import CorrelationParams, FitOptions, OrdinaryKriging, fit_theta
 from kspod.pod import PODBasis, decompose, reconstruct, truncate
 from kspod.snapshots import SnapshotSet, read_dataset, write_dataset
 from test_kriging import dense_predict
@@ -87,7 +87,7 @@ def composed_field(model, x, indices=None):
     if model.centering:
         if model.mean_theta is not None:
             unit = model.ranges.normalize(model.design)
-            mean_weights = IndicatorKriging(unit, CorrelationParams(
+            mean_weights = OrdinaryKriging(unit, CorrelationParams(
                 model.mean_theta, MEAN_WEIGHT_NUGGET)).weights(model.ranges.normalize(x))
             rows[model.rank] = mean_weights @ model.library[:, model.rank]
         beta = np.vstack((beta, np.ones(beta.shape[1])))
@@ -187,9 +187,10 @@ class TestTrain:
         assert fixed.args[0] == model.coeff_mu.size
         assert weight.args[:2] == (model.options_record["weight_theta"], "fitted")
         # the mean stage: its length-scales, the mean weights' identity
-        # residual at the training designs, and the distinct length-scales
-        # its one search scored
-        theta_mean, resid, scored = mean.args[:3]
+        # residual at the training designs, the largest relative miss of the
+        # mean rows they blend there, and the distinct length-scales its one
+        # search scored
+        theta_mean, resid, miss, scored = mean.args[:4]
         assert np.array_equal(theta_mean, model.mean_theta)
         unit = model.ranges.normalize(model.design)
         weights = model._mean_kriging.weights(unit)
@@ -198,6 +199,10 @@ class TestTrain:
         # blend at the training designs are the training means
         means = model.library[:, -1]
         assert np.abs(weights @ means - means).max() <= 1e-6 * np.abs(means).max()
+        misses = [np.linalg.norm(w @ means - mean) / np.linalg.norm(mean)
+                  for w, mean in zip(weights, means)]
+        assert miss == pytest.approx(max(misses), rel=1e-12)
+        assert miss < resid
         assert scored >= 1
         for rec in records:
             assert 0.0 <= rec.args[-1] < 6e4, rec.getMessage()
@@ -437,7 +442,7 @@ class TestPrediction:
         if model.centering:
             # the mean field takes the ordinary-kriging weights under mean_theta
             unit = model.ranges.normalize(model.design)
-            mean_weights = IndicatorKriging(unit, CorrelationParams(
+            mean_weights = OrdinaryKriging(unit, CorrelationParams(
                 model.mean_theta, MEAN_WEIGHT_NUGGET)).weights(model.ranges.normalize(x))
             expected += (mean_weights @ model.library[:, -1])[:, None]
         fld = predict_field(model, x, indices)

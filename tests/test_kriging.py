@@ -15,16 +15,29 @@ from kspod.kriging import (
     DEFAULT_NUGGET,
     CorrelationParams,
     FitOptions,
-    IndicatorKriging,
-    fit,
-    fit_fixed,
+    OrdinaryKriging,
     fit_indicator_theta,
     fit_theta,
-    indicator_weights,
-    predict,
     _ones_block,
     _profile_nll,
 )
+
+
+def predictor(x_pts, y, params):
+    """The conditional mean mu + r . alpha of OrdinaryKriging's fit of y, at a
+    query (d,) or a block (q, d), as the emulator predicts its coefficients."""
+    mu, _, alpha = OrdinaryKriging(x_pts, params).fit(y)
+
+    def predict(x_new):
+        x_new = np.asarray(x_new, dtype=float)
+        return mu + np.exp(-((x_pts - x_new[..., None, :]) ** 2) @ params.theta) @ alpha
+    return predict
+
+
+def fitted(x_pts, y, options=FitOptions()):
+    """fit_theta's parameters for y and their predictor."""
+    params = CorrelationParams(fit_theta(x_pts, y, options), options.nugget)
+    return params, predictor(x_pts, y, params)
 
 
 def dense_predict(x_pts, y, theta, nugget, x_new):
@@ -79,9 +92,9 @@ def unmemoized_search(x_pts, y, options=FitOptions()):
 class TestFitAndPredict:
     def test_constant_observations(self):
         x_pts = np.random.default_rng(0).uniform(size=(6, 2))
-        model = fit(x_pts, np.full(6, 3.25))
+        _, predict = fitted(x_pts, np.full(6, 3.25))
         for probe in np.random.default_rng(1).uniform(size=(5, 2)):
-            assert predict(model, probe) == pytest.approx(3.25, abs=1e-9)
+            assert predict(probe) == pytest.approx(3.25, abs=1e-9)
 
     def test_interpolation_property(self):
         rng = np.random.default_rng(2)
@@ -89,58 +102,54 @@ class TestFitAndPredict:
             n, d = int(rng.integers(3, 15)), int(rng.integers(1, 4))
             x_pts = rng.uniform(size=(n, d))
             y = rng.normal(size=n)
-            model = fit(x_pts, y)
+            _, predict = fitted(x_pts, y)
             tol = 1e-6 * max(np.ptp(y), 1e-12)
             for i in range(n):
-                assert abs(predict(model, x_pts[i]) - y[i]) <= tol
+                assert abs(predict(x_pts[i]) - y[i]) <= tol
 
     def test_sin_recovery(self):
         x_pts = np.linspace(0.0, 1.0, 8)[:, None]
         y = np.sin(2.0 * np.pi * x_pts[:, 0])
-        model = fit(x_pts, y)
+        _, predict = fitted(x_pts, y)
         mids = 0.5 * (x_pts[1:, 0] + x_pts[:-1, 0])
-        preds = np.array([predict(model, [m]) for m in mids])
+        preds = np.array([predict([m]) for m in mids])
         rmse = np.sqrt(np.mean((preds - np.sin(2.0 * np.pi * mids)) ** 2))
         assert rmse < 0.05
 
     def test_single_point(self):
-        model = fit(np.array([[0.3, 0.7]]), np.array([2.5]))
-        assert predict(model, [0.9, 0.1]) == pytest.approx(2.5, abs=1e-12)
+        _, predict = fitted(np.array([[0.3, 0.7]]), np.array([2.5]))
+        assert predict([0.9, 0.1]) == pytest.approx(2.5, abs=1e-12)
 
     def test_midpoint_symmetry(self):
         x_pts = np.array([[0.0], [1.0]])
         y = np.array([0.0, 1.0])
         for theta in (0.3, 2.0, 25.0):
             params = CorrelationParams(np.array([theta]), nugget=1e-8)
-            from kspod.kriging import _build_model
-            model = _build_model(x_pts, y, params)
-            assert predict(model, [0.5]) == pytest.approx(0.5, abs=1e-10)
+            assert predictor(x_pts, y, params)([0.5]) == pytest.approx(0.5, abs=1e-10)
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(3)
         for n in (5, 20, 50):
             x_pts = rng.uniform(size=(n, 3))
             y = rng.normal(size=n)
-            model = fit(x_pts, y)
+            params, predict = fitted(x_pts, y)
             for probe in rng.uniform(-0.2, 1.2, size=(4, 3)):
-                oracle = dense_predict(
-                    x_pts, y, model.params.theta, model.params.nugget, probe
-                )
-                assert predict(model, probe) == pytest.approx(oracle, abs=1e-10)
+                oracle = dense_predict(x_pts, y, params.theta, params.nugget, probe)
+                assert predict(probe) == pytest.approx(oracle, abs=1e-10)
 
     def test_optimizer_beats_random_probes(self):
         rng = np.random.default_rng(4)
         x_pts = rng.uniform(size=(12, 2))
         y = np.sin(3.0 * x_pts[:, 0]) + 0.5 * x_pts[:, 1] ** 2
-        model = fit(x_pts, y)
+        params, _ = fitted(x_pts, y)
         diffs = (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
 
         def objective(log_theta):
-            return _profile_nll(diffs, _ones_block(y), model.params.nugget, log_theta)
+            return _profile_nll(diffs, _ones_block(y), params.nugget, log_theta)
 
-        fitted = objective(np.log(model.params.theta))
+        best = objective(np.log(params.theta))
         probes = rng.uniform(-6.0, 6.0, size=(32, 2))
-        assert all(objective(p) >= fitted - 1e-9 for p in probes)
+        assert all(objective(p) >= best - 1e-9 for p in probes)
 
     def test_profile_nll_matches_dense_formula(self):
         # one dataset (n,) and a block (n, q): the sum over datasets of
@@ -190,21 +199,19 @@ class TestFitAndPredict:
     def test_duplicates_without_nugget(self):
         x_pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
         with pytest.raises(IllConditionedError):
-            fit(x_pts, np.array([1.0, 1.0, 2.0]),
-                FitOptions(nugget=0.0, restarts=1))
+            fitted(x_pts, np.array([1.0, 1.0, 2.0]), FitOptions(nugget=0.0, restarts=1))
 
     def test_mu_hat_identity(self):
         rng = np.random.default_rng(5)
         x_pts = rng.uniform(size=(10, 2))
         y = rng.normal(size=10)
-        model = fit(x_pts, y)
+        params, _ = fitted(x_pts, y)
         diffs = (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
-        rmat = np.exp(-diffs @ model.params.theta) \
-            + model.params.nugget * np.eye(10)
+        rmat = np.exp(-diffs @ params.theta) + params.nugget * np.eye(10)
         rinv = np.linalg.inv(rmat)
         ones = np.ones(10)
         mu = (ones @ rinv @ y) / (ones @ rinv @ ones)
-        assert model.mu_hat == pytest.approx(mu, abs=1e-10)
+        assert OrdinaryKriging(x_pts, params).fit(y)[0] == pytest.approx(mu, abs=1e-10)
 
 
 class TestCholeskyPath:
@@ -229,19 +236,17 @@ class TestCholeskyPath:
         assert np.array_equal(kriging._cholesky(diffs, theta, DEFAULT_NUGGET), expected)
 
     def test_shared_square_differences(self):
-        # fits and weight factors given the inputs' squared differences
-        # equal those that build them
+        # fits and weights of an object given the inputs' squared
+        # differences equal those of one that builds them
         rng = np.random.default_rng(20)
         x_pts = rng.uniform(size=(9, 2))
-        diffs, theta = kriging._sq_diffs(x_pts), np.array([0.7, 2.0])
+        diffs, params = kriging._sq_diffs(x_pts), CorrelationParams(np.array([0.7, 2.0]))
+        shared, own = OrdinaryKriging(x_pts, params, diffs), OrdinaryKriging(x_pts, params)
         y = rng.normal(size=(3, 9))
-        for a, b in zip(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET),
-                        fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, diffs=diffs)):
+        for a, b in zip(own.fit(y), shared.fit(y)):
             assert np.array_equal(a, b)
-        params = CorrelationParams(theta)
         queries = rng.uniform(size=(4, 2))
-        assert np.array_equal(IndicatorKriging(x_pts, params, diffs).weights(queries),
-                              IndicatorKriging(x_pts, params).weights(queries))
+        assert np.array_equal(shared.weights(queries), own.weights(queries))
 
     def test_given_mu_rebuilds_alpha(self, monkeypatch):
         # stacked (2, 3) systems under one theta: one factorization, one
@@ -262,42 +267,66 @@ class TestCholeskyPath:
 
         monkeypatch.setattr(kriging, "_cholesky", counted("factor", kriging._cholesky))
         monkeypatch.setattr(kriging, "dtrtrs", counted("solve", kriging.dtrtrs))
-        mu, sigma2, alpha = fit_fixed(x_pts, theta, y, DEFAULT_NUGGET)
+        params = CorrelationParams(theta)
+        mu, sigma2, alpha = OrdinaryKriging(x_pts, params).fit(y)
         assert calls == {"factor": 1, "solve": 2}
         assert mu.shape == sigma2.shape == (2, 3) and alpha.shape == y.shape
-        assert np.array_equal(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, mu)[2], alpha)
+        assert np.array_equal(OrdinaryKriging(x_pts, params).fit(y, mu)[2], alpha)
         # a given mu takes the same solves
         assert calls == {"factor": 2, "solve": 4}
-        assert np.array_equal(fit_fixed(x_pts, theta, y, DEFAULT_NUGGET, mu + 1.0)[0],
-                              mu + 1.0)
+        assert np.array_equal(OrdinaryKriging(x_pts, params).fit(y, mu + 1.0)[0], mu + 1.0)
         for i in np.ndindex(2, 3):
-            one = fit_fixed(x_pts, theta, y[i], DEFAULT_NUGGET)
+            one = OrdinaryKriging(x_pts, params).fit(y[i])
             assert all(np.array_equal(a, b[i]) for a, b in zip(one, (mu, sigma2, alpha)))
 
     def test_one_theta_only(self):
-        # every dataset of a fit_fixed call shares one length-scale vector
+        # every dataset of a fit shares one length-scale vector of the
+        # inputs' dimension
         rng = np.random.default_rng(18)
         x_pts = rng.uniform(size=(6, 2))
         with pytest.raises(ValueError, match="theta must be a \\(2,\\) vector"):
-            fit_fixed(x_pts, np.ones((3, 2)), rng.normal(size=(3, 6)), DEFAULT_NUGGET)
+            OrdinaryKriging(x_pts, CorrelationParams(np.ones(3))).fit(rng.normal(size=(3, 6)))
 
+    # the ids name the role: "fit_fixed" is the fit at a fixed theta and
+    # "IndicatorKriging" the factor under an isotropic indicator parameter
     @pytest.mark.parametrize("factorize", ["fit_fixed", "IndicatorKriging"])
     def test_duplicates_without_nugget(self, factorize):
         x_pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
         with pytest.raises(IllConditionedError):
             if factorize == "fit_fixed":
-                fit_fixed(x_pts, np.ones(2), np.array([1.0, 1.0, 2.0]), 0.0)
+                OrdinaryKriging(x_pts, CorrelationParams(np.ones(2), 0.0)).fit(
+                    np.array([1.0, 1.0, 2.0]))
             else:
-                IndicatorKriging(x_pts, CorrelationParams.isotropic(1.0, 2, nugget=0.0))
+                OrdinaryKriging(x_pts, CorrelationParams.isotropic(1.0, 2, nugget=0.0))
+
+    def test_one_factor_serves_fits_and_weights(self, monkeypatch):
+        # the object factorizes once; its fits and weights reuse the factor,
+        # and the weight form w(x) . y of a fit's prediction is its
+        # mu + r(x) . alpha
+        rng = np.random.default_rng(21)
+        x_pts = rng.uniform(size=(8, 2))
+        calls = []
+        real = kriging._cholesky
+        monkeypatch.setattr(kriging, "_cholesky",
+                            lambda *args: calls.append(1) or real(*args))
+        gp = OrdinaryKriging(x_pts, CorrelationParams(np.array([1.5, 0.4])))
+        y = rng.normal(size=8)
+        mu, _, alpha = gp.fit(y)
+        gp.fit(rng.normal(size=(2, 8)), mu=0.0)
+        for probe in rng.uniform(-0.2, 1.2, size=(5, 2)):
+            r = np.exp(-((x_pts - probe) ** 2) @ gp.theta)
+            assert gp.weights(probe) @ y == pytest.approx(mu + r @ alpha, rel=1e-8, abs=1e-10)
+        assert calls == [1]
 
 
+# the entry ids name the role, as in TestCholeskyPath.test_duplicates_without_nugget
 def _call_entry(entry, x_pts, y):
     if entry == "fit_theta":
         fit_theta(x_pts, y, FitOptions(restarts=1))
     elif entry == "fit_fixed":
-        fit_fixed(x_pts, np.ones(x_pts.shape[1]), y, DEFAULT_NUGGET)
+        OrdinaryKriging(x_pts, CorrelationParams(np.ones(x_pts.shape[1]))).fit(y)
     else:
-        IndicatorKriging(x_pts, CorrelationParams.isotropic(1.0, x_pts.shape[1]))
+        OrdinaryKriging(x_pts, CorrelationParams.isotropic(1.0, x_pts.shape[1]))
 
 
 @pytest.mark.parametrize("entry, bad", [
@@ -507,9 +536,9 @@ class TestIndicatorWeights:
     def test_unit_vectors_at_training_points(self):
         rng = np.random.default_rng(6)
         x_pts = rng.uniform(size=(9, 3))
-        params = CorrelationParams.isotropic(8.0, 3)
+        weights = OrdinaryKriging(x_pts, CorrelationParams.isotropic(8.0, 3)).weights
         for j in range(9):
-            w = indicator_weights(x_pts, params, x_pts[j])
+            w = weights(x_pts[j])
             expected = np.zeros(9)
             expected[j] = 1.0
             assert np.abs(w - expected).max() < 1e-6
@@ -517,9 +546,9 @@ class TestIndicatorWeights:
     def test_raw_weights_sum_to_one(self):
         rng = np.random.default_rng(7)
         x_pts = rng.uniform(size=(15, 2))
-        params = CorrelationParams.isotropic(5.0, 2)
+        weights = OrdinaryKriging(x_pts, CorrelationParams.isotropic(5.0, 2)).weights
         for probe in rng.uniform(-0.5, 1.5, size=(50, 2)):
-            w = indicator_weights(x_pts, params, probe)
+            w = weights(probe)
             assert w.sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_dense_oracle(self):
@@ -527,7 +556,7 @@ class TestIndicatorWeights:
         x_pts = rng.uniform(size=(7, 2))
         params = CorrelationParams.isotropic(4.0, 2)
         probe = np.array([0.42, 0.77])
-        w = indicator_weights(x_pts, params, probe)
+        w = OrdinaryKriging(x_pts, params).weights(probe)
         oracle = dense_indicator_weights(x_pts, params.theta,
                                          params.nugget, probe)
         assert np.abs(w - oracle).max() < 1e-10
@@ -535,23 +564,26 @@ class TestIndicatorWeights:
     def test_negative_weights_not_clamped(self):
         x_pts = np.linspace(0.0, 1.0, 6)[:, None]
         params = CorrelationParams.isotropic(10.0, 1)
-        w = indicator_weights(x_pts, params, np.array([1.35]))
+        w = OrdinaryKriging(x_pts, params).weights(np.array([1.35]))
         assert w.min() < 0.0
 
     def test_non_finite_query_rejected(self):
+        # NaN and +-inf, alone or in a row of a block
         x_pts = np.linspace(0.0, 1.0, 6)[:, None]
-        params = CorrelationParams.isotropic(10.0, 1)
-        with pytest.raises(ValueError):
-            indicator_weights(x_pts, params, np.array([np.nan]))
+        kriging_w = OrdinaryKriging(x_pts, CorrelationParams.isotropic(10.0, 1))
+        for bad in (np.nan, np.inf, -np.inf):
+            for query in (np.array([bad]), np.array([[0.5], [bad]])):
+                with pytest.raises(ValueError, match="query must be finite"):
+                    kriging_w.weights(query)
 
     def test_gaussian_kernel_limit(self):
         # Well-separated design, query close to one point: all other kernel
         # values fall below 1e-6 and the near weight matches the kernel to 1%.
         corners = np.array([[float(b) for b in f"{i:03b}"] for i in range(8)])
-        params = CorrelationParams.isotropic(50.0, 3)
+        weights = OrdinaryKriging(corners, CorrelationParams.isotropic(50.0, 3)).weights
         for j in range(8):
             probe = corners[j] + (0.015 if j % 2 == 0 else -0.015)
-            w = indicator_weights(corners, params, probe)
+            w = weights(probe)
             kernel = np.exp(-50.0 * np.sum((corners - probe) ** 2, axis=1))
             comparable = kernel > 1e-6
             assert comparable.sum() == 1
@@ -570,14 +602,14 @@ class TestIndicatorWeights:
         rng = np.random.default_rng(18)
         x_pts = rng.uniform(size=(30, 3))
         for theta in (0.05, 6.4, 50.0):
-            kriging_w = IndicatorKriging(x_pts, CorrelationParams.isotropic(theta, 3))
+            kriging_w = OrdinaryKriging(x_pts, CorrelationParams.isotropic(theta, 3))
             for probes in (rng.uniform(-0.2, 1.2, size=(37, 3)), x_pts, x_pts[:1]):
                 block = kriging_w.weights(probes)
                 assert block.shape == (len(probes), 30)
                 assert np.array_equal(block, [kriging_w.weights(p) for p in probes])
 
     def test_block_query_dimension_checked(self):
-        kriging_w = IndicatorKriging(np.eye(3), CorrelationParams.isotropic(1.0, 3))
+        kriging_w = OrdinaryKriging(np.eye(3), CorrelationParams.isotropic(1.0, 3))
         for bad in (np.zeros((4, 2)), np.zeros((2, 4, 3))):
             with pytest.raises(ValueError, match=r"\(3,\) vector or \(q, 3\) array"):
                 kriging_w.weights(bad)
@@ -624,7 +656,7 @@ class TestIndicatorTheta:
         x_pts = generate_slhd(5, 6, 3, seed=0).points
         fitted = fit_indicator_theta(x_pts, nugget=0.0)
         assert np.log(fitted) > DEFAULT_LOG_THETA_BOUNDS[0] + 1.0
-        weights = IndicatorKriging(
+        weights = OrdinaryKriging(
             x_pts, CorrelationParams.isotropic(fitted, 3, nugget=0.0)).weights(x_pts)
         assert np.abs(weights - np.eye(30)).max() <= kriging.IDENTITY_TOL
 

@@ -22,17 +22,10 @@ def assert_equal_and_read_only(copy, orig):
             assert got == want, f.name
 
 
-def _kriging_model():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(size=(6, 2))
-    return kspod.fit(x, np.sin(3.0 * x[:, 0]) + x[:, 1])
-
-
 INSTANCES = {
     "DesignMatrix": lambda cases, model: kspod.generate_slhd(2, 3, 2, seed=1),
     "DesignRanges": lambda cases, model: kspod.SWIRL_DESIGN_RANGES,
     "CorrelationParams": lambda cases, model: kspod.CorrelationParams([0.5, 2.0], 1e-8),
-    "KrigingModel": lambda cases, model: _kriging_model(),
     "PODBasis": lambda cases, model: kspod.decompose(cases[0]),
     "PODBasis-uncentered": lambda cases, model: kspod.decompose(cases[0], centering=False),
     "SnapshotSet": lambda cases, model: cases[0],
