@@ -1,7 +1,8 @@
 """Kernel-smoothed POD emulator of spatiotemporal fields.
 
 Training decomposes every case into spatial modes and temporal coefficients,
-sign-aligns the mode libraries to the first case, kriges each mode's
+rotates every case's modes (and its coefficients with them) onto the leading
+eigenvectors of the cases' pooled covariance, kriges each mode's
 coefficients under one length-scale vector (each time-step keeps its own
 mean, variance and weights), configures shared-parameter indicator kriging
 over the design space and, with centering, fits one length-scale vector
@@ -295,7 +296,10 @@ def train(cases, options: TrainOptions = None) -> EmulatorModel:
 
     Logs one INFO record per stage on the "kspod" logger, each with its
     duration: the decompositions; the common rank, with the smallest energy
-    fraction it captures in any case, and the alignment; each mode's
+    fraction it captures in any case, and the alignment, with the largest
+    and median per-case Procrustes residual |Phi_i R_i - U|_W / sqrt(K) and
+    the gap mu_K / mu_(K+1) of the pooled eigenvalues (``pod.align_modes``);
+    each mode's
     length-scale search and its result; the fixed fit; the weight
     parameter; and, with centering, the mean-field length-scales with the
     number of distinct ones scored, the identity residual max |W_mean(X) - I|
@@ -350,16 +354,25 @@ def _assemble(design, bases, ref_case: SnapshotSet,
     t0 = time.perf_counter()
     k_rank = _common_rank(bases, options)
     truncated = [truncate(b, num_modes=k_rank) for b in bases]
-    aligned = [truncated[0]]
-    aligned += [align_modes(truncated[0], b) for b in truncated[1:]]
+    # the library rows and coefficients as the cases give them, then rotated
+    # in place
+    library = np.empty((len(bases), k_rank + options.centering, ref_case.num_points))
+    for rows, basis in zip(library, truncated):
+        rows[:k_rank] = basis.modes.T
+        if options.centering:
+            rows[k_rank] = basis.mean_field
+    coeff_tensor = np.stack([b.coeffs for b in truncated], axis=0)  # (n, m, K)
+    # train decomposes with unit quadrature weights
+    resid, gap = align_modes(library[:, :k_rank], coeff_tensor)
     captured = min(np.cumsum(b.energy_fractions)[k_rank - 1] for b in bases)
-    _log.info("train: common rank %d, smallest captured energy %.6f; rank and "
-              "alignment in %.1f ms", k_rank, captured, _ms_since(t0))
+    _log.info("train: common rank %d, smallest captured energy %.6f; Procrustes "
+              "residual largest %.3e, median %.3e; pooled eigenvalue gap %.4g; rank "
+              "and alignment in %.1f ms", k_rank, captured, resid.max(),
+              np.median(resid), gap, _ms_since(t0))
 
     ranges = options.ranges or _derive_ranges(design)
     unit = ranges.normalize(design)
 
-    coeff_tensor = np.stack([b.coeffs for b in aligned], axis=0)  # (n, m, K)
     # one length-scale per mode, from the (n, m) block of all its time-steps
     theta = np.empty((k_rank, unit.shape[1]))
     for k in range(k_rank):
@@ -376,12 +389,6 @@ def _assemble(design, bases, ref_case: SnapshotSet,
     del diffs  # the model builds its own; training's peak memory does not grow
     _log.info("train: fixed fit of %d coefficient models in %.1f ms",
               mu.size, _ms_since(t0))
-    library = np.empty((len(aligned), k_rank + options.centering, ref_case.num_points))
-    for rows, basis in zip(library, aligned):
-        rows[:k_rank] = basis.modes.T
-        if options.centering:
-            rows[k_rank] = basis.mean_field
-
     t0 = time.perf_counter()
     theta_w = options.weight_theta
     if theta_w is None:
@@ -415,7 +422,7 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         design=design,
         ranges=ranges,
         library=library,
-        eigenvalues=np.stack([b.eigenvalues for b in aligned]),
+        eigenvalues=np.stack([b.eigenvalues for b in truncated]),
         coefficients=coefficients,
         coeff_theta=theta,
         coeff_mu=mu,

@@ -389,12 +389,14 @@ def fit_indicator_theta(x_pts, nugget: float = DEFAULT_NUGGET,
     lo, hi = log_theta_bounds
     count = np.ceil((hi - lo) / IDENTITY_LOG_STEP - 1e-9)
     grid = np.append(lo + IDENTITY_LOG_STEP * np.arange(count), hi)
+    diffs = _sq_diffs(x_pts)  # one array for every candidate
     resids = {}
 
     def passes(k):
         try:
             params = CorrelationParams.isotropic(np.exp(grid[k]), d, nugget)
-            resids[k] = np.abs(OrdinaryKriging(x_pts, params).weights(x_pts) - np.eye(n)).max()
+            weights = OrdinaryKriging(x_pts, params, diffs).weights(x_pts)
+            resids[k] = np.abs(weights - np.eye(n)).max()
         except IllConditionedError:
             resids[k] = np.inf
         return resids[k] <= IDENTITY_TOL

@@ -3,7 +3,8 @@
 Decomposes a J x m snapshot matrix into orthonormal spatial modes and
 time-varying coefficients via the m x m temporal Gram matrix, which is the
 efficient route when m << J. Includes energy-based truncation, rank-limited
-reconstruction, and cross-case sign alignment.
+reconstruction, and the alignment of many cases' modes onto one reference
+basis by orthogonal Procrustes rotations.
 """
 
 from dataclasses import dataclass
@@ -212,34 +213,73 @@ def reconstruct(basis: PODBasis, num_modes: int = None,
     return fld
 
 
-def align_modes(reference: PODBasis, target: PODBasis) -> PODBasis:
-    """Flip target mode signs to match the reference, mode by mode.
+def align_modes(modes, coeffs, weights=None):
+    """Rotate every case's modes and coefficients in place onto one reference
+    basis by orthogonal Procrustes (Schonemann 1966).
 
-    For every common mode index, when the weighted inner product of the
-    reference and target modes is negative both the target mode and its
-    coefficient column are negated, which leaves every reconstruction
-    unchanged.
+    ``modes`` (n, K, J) holds each case's K modes as rows, orthonormal under
+    the quadrature ``weights`` (J,) (unit weights when None), and ``coeffs``
+    (n, m, K) their temporal coefficients; either may be a strided view,
+    such as the mode rows of the emulator's library.
+
+    The reference U (J, K) is the leading K eigenvectors of the pooled
+    covariance sum_i Phi_i C_i Phi_i' under the weighted inner product, with
+    C_i = a_i' a_i the case's coefficient Gram. For a POD basis C_i is the
+    diagonal of its retained eigenvalues; unlike them, it rotates with the
+    modes, so the reference depends only on each case's rank-K
+    reconstruction. Each column of U has its largest-magnitude entry
+    positive. Case i is rotated by R_i = A B' from the SVD A S B' of
+    Phi_i' W U, which minimizes |Phi_i R_i - U|_W, and its coefficient
+    columns by the same R_i, so its reconstruction does not change.
+
+    The eigenproblem is the (nK, nK) Gram P W P' of the rows P_i = T_i Phi_i',
+    with C_i = T_i' T_i from a QR of a_i: its top eigenpairs (mu, V) give
+    U = P' V / sqrt(mu). Signs are made canonical first (each coefficient
+    column's largest-magnitude entry positive), so a case given with negated
+    modes is aligned bit for bit as without; the result does not depend on
+    the order of the cases beyond rounding.
+
+    Returns each case's residual |Phi_i R_i - U|_W / sqrt(K) (n,) and the
+    ratio mu_K / mu_(K+1) of the pooled eigenvalues (inf without a (K+1)-th);
+    near 1, the reference is ill-defined. Mis-sized arrays, such as weights
+    from another grid, raise ValueError.
     """
-    if target.num_points != reference.num_points or not np.array_equal(
-        target.quadrature_weights, reference.quadrature_weights
-    ):
-        raise ValueError("reference and target bases live on different grids")
-    if target.num_modes < 1:
-        raise ValueError("target basis has no modes to align")
+    n, k, j = modes.shape
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+    if coeffs.ndim != 3 or coeffs.shape[0] != n or coeffs.shape[2] != k:
+        raise ValueError(f"coefficients must be (n={n}, m, K={k}), got {coeffs.shape}")
+    if weights is not None and weights.shape != (j,):
+        raise ValueError("modes and quadrature weights live on different grids")
+    if k < 1:
+        raise ValueError("no modes to align")
 
-    k = min(reference.num_modes, target.num_modes)
-    w = reference.quadrature_weights
-    inner = np.einsum(
-        "jk,jk->k", reference.modes[:, :k], w[:, None] * target.modes[:, :k]
-    )
-    signs = np.ones(target.num_modes)
-    signs[:k][inner < 0.0] = -1.0
-    if np.all(signs > 0.0):
-        return target
-    return PODBasis(
-        target.modes * signs,
-        target.coeffs * signs,
-        target.eigenvalues,
-        target.quadrature_weights,
-        target.mean_field,
-    )
+    # canonical signs S_i, read where negation is exact; they ride in the
+    # factors and rotations, so the inputs are not copied to apply them
+    peak = np.take_along_axis(coeffs, np.abs(coeffs).argmax(axis=1)[:, None], axis=1)
+    signs = np.where(peak < 0.0, -1.0, 1.0)  # (n, 1, K)
+    # the rows P_i = T_i S_i Phi_i' of the canonical modes, one copy
+    tri = np.linalg.qr(coeffs * signs, mode="r")  # (n, K, K)
+    stack = np.matmul(tri * signs, modes)  # (n, K, J)
+    rows = stack.reshape(n * k, j)
+    pooled = (rows * weights if weights is not None else rows) @ rows.T
+    mu, vecs = np.linalg.eigh(pooled)
+    mu, vecs = mu[::-1], vecs[:, ::-1]
+    gap = mu[k - 1] / mu[k] if mu.size > k else np.inf
+    ref = rows.T @ (vecs[:, :k] / np.sqrt(mu[:k]))  # (J, K), W-orthonormal
+    # order-free column signs of the reference
+    ref *= np.sign(ref[np.abs(ref).argmax(axis=0), np.arange(k)])
+    wref = ref * weights[:, None] if weights is not None else ref
+    # each case's cross matrix S_i Phi_i' W U; the rotation of the input
+    # modes is S_i R_i
+    left, _, right = np.linalg.svd(np.matmul(modes, wref) * signs.transpose(0, 2, 1))
+    rot = signs.transpose(0, 2, 1) * (left @ right)  # (n, K, K)
+    np.matmul(coeffs, rot, out=coeffs)
+    np.matmul(rot.transpose(0, 2, 1), modes, out=stack)
+    modes[...] = stack
+    # the residuals, in the buffer the rotation no longer needs
+    stack -= ref.T
+    if weights is not None:
+        stack *= np.sqrt(weights)
+    resid = np.sqrt(np.einsum("akj,akj->a", stack, stack) / k)
+    return resid, float(gap)

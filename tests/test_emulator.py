@@ -50,6 +50,21 @@ def analytic_case(amp1, amp2, design, case_id, m=16):
     return SnapshotSet(case_id, design, grid, np.arange(m) * 1e-3, fld)
 
 
+def pooled_reference(model):
+    """Per-case residuals |Phi_i - U| / sqrt(K) of a model's aligned modes and
+    the gap mu_K / mu_(K+1), from an eigendecomposition of the (J, J) pooled
+    covariance sum_i Phi_i a_i' a_i Phi_i' (unit quadrature weights)."""
+    k = model.rank
+    modes = model.library[:, :k]
+    coeffs = model.coefficients.transpose(2, 1, 0)  # (n, m, K)
+    cov = sum(rows.T @ (beta.T @ beta) @ rows for rows, beta in zip(modes, coeffs))
+    mu, vecs = np.linalg.eigh(cov)
+    mu, ref = mu[::-1], vecs[:, ::-1][:, :k]
+    ref = ref * np.sign(ref[np.abs(ref).argmax(axis=0), np.arange(k)])
+    resid = np.linalg.norm(modes - ref.T, axis=(1, 2)) / np.sqrt(k)
+    return resid, mu[k - 1] / mu[k]
+
+
 @pytest.fixture(scope="module")
 def uncentered_model(desk_setup, small_cases):
     return train(small_cases, TrainOptions(ranges=desk_setup["ranges"], centering=False))
@@ -181,6 +196,20 @@ class TestTrain:
         assert ranked.args[0] == model.rank == small_model.rank
         threshold = model.options_record["energy_threshold"]
         assert threshold - 1e-12 <= ranked.args[1] <= 1.0
+        # the alignment: largest and median Procrustes residual, and the
+        # pooled eigenvalue gap, recomputed from the J x J pooled covariance
+        # of the aligned model; the recipe's cases share their K modes
+        resid, gap = pooled_reference(model)
+        assert ranked.args[2:4] == pytest.approx((resid.max(), np.median(resid)), abs=1e-12)
+        assert ranked.args[2] <= 1e-12 and ranked.args[4] > 1e6
+        with caplog.at_level(logging.INFO, logger="kspod"):
+            caplog.clear()
+            two = train(small_cases, TrainOptions(ranges=desk_setup["ranges"], num_modes=2))
+        two_ranked = [r for r in caplog.records if r.getMessage().split()[1] == "common"][0]
+        resid, gap = pooled_reference(two)
+        assert two_ranked.args[2:5] == pytest.approx(
+            (resid.max(), np.median(resid), gap), rel=1e-8)
+        assert 1e-6 < two_ranked.args[3] <= two_ranked.args[2] and 1.0 < two_ranked.args[4] < 1e6
         for k, rec in enumerate(modes):
             assert rec.args[0] == k
             assert np.array_equal(rec.args[1], model.coeff_theta[k])
@@ -500,6 +529,32 @@ class TestPrediction:
         probe = desk_setup["ranges"].scale(np.array([0.52, 0.47, 0.58]))
         assert np.array_equal(predict_field(model_a, probe),
                               predict_field(model_b, probe))
+
+    def test_rotated_case_predicts_alike(self, small_cases, desk_setup):
+        # a case's K modes rotated by any orthogonal matrix, with its
+        # coefficients, describe the same rank-K reconstruction: the aligned
+        # model predicts as before
+        options = TrainOptions(ranges=desk_setup["ranges"], num_modes=2)
+        design = np.vstack([c.design for c in small_cases])
+        bases = [truncate(decompose(c), num_modes=2) for c in small_cases]
+        q = np.linalg.qr(np.random.default_rng(5).normal(size=(2, 2)))[0]
+        rotated = list(bases)
+        b = bases[4]
+        rotated[4] = PODBasis(b.modes @ q, b.coeffs @ q, b.eigenvalues,
+                              b.quadrature_weights, b.mean_field)
+        model_a = _assemble(design, bases, small_cases[0], options)
+        model_b = _assemble(design, rotated, small_cases[0], options)
+        probe = desk_setup["ranges"].scale(np.array([0.52, 0.47, 0.58]))
+        fld_a, fld_b = predict_field(model_a, probe), predict_field(model_b, probe)
+        assert np.abs(fld_b - fld_a).max() <= 1e-10 * np.abs(fld_a).max()
+
+    def test_default_recipe_modes_agree(self, small_model):
+        # every case spans the recipe's K wave patterns, so after alignment
+        # the cases hold one set of orthonormal modes
+        modes = small_model.library[:, :small_model.rank]
+        assert np.abs(modes - modes[0]).max() <= 1e-8
+        for rows in modes:
+            assert np.abs(rows @ rows.T - np.eye(small_model.rank)).max() <= 1e-12
 
     def test_truncation_monotone_at_training_design(self, small_cases, desk_setup):
         errors = []

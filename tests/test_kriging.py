@@ -670,16 +670,21 @@ class TestIndicatorTheta:
         assert theta == fitted and resid > kriging.IDENTITY_TOL
         assert evaluations == 1 and fallback is True
 
-    def test_debug_record(self, caplog):
+    def test_debug_record(self, caplog, monkeypatch):
         x_pts = generate_slhd(5, 6, 3, seed=0).points
+        builds = []
+        original = kriging._sq_diffs
+        monkeypatch.setattr(kriging, "_sq_diffs", lambda x: builds.append(1) or original(x))
         with caplog.at_level(logging.DEBUG, logger="kspod"):
             fitted = fit_indicator_theta(x_pts)
         (record,) = [r for r in caplog.records if r.name == "kspod"]
         theta, resid, evaluations, fallback = record.args
         assert theta == fitted and fallback is False
         assert 0.0 < resid <= kriging.IDENTITY_TOL
-        # the upper bound, then a bisection of the 240 candidates below it
+        # the upper bound, then a bisection of the 240 candidates below it,
+        # every candidate on one array of squared differences
         assert evaluations in (1 + 7, 1 + 8)
+        assert len(builds) == 1
 
     def test_independent_of_case_order(self):
         x_pts = generate_slhd(5, 6, 3, seed=0).points

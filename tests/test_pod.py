@@ -201,36 +201,105 @@ class TestReconstruct:
             reconstruct(basis, time_indices=indices)
 
 
+def stacked(bases):
+    """The (n, K, J) mode rows and (n, m, K) coefficients of equal-rank bases,
+    as align_modes takes them, C-contiguous like their copies."""
+    return (np.ascontiguousarray([b.modes.T for b in bases]),
+            np.ascontiguousarray([b.coeffs for b in bases]))
+
+
+def varied_bases(count=6, k=3, weights=None):
+    """Rank-k bases of random fields on one 40-point grid: each case's
+    k-mode subspace differs from the others'."""
+    gen = np.random.default_rng(7)
+    shared = gen.normal(size=(40, 5))
+    return [
+        truncate(decompose(shared @ gen.normal(size=(5, 12)) + 0.3 * gen.normal(size=(40, 12)),
+                           weights=weights), num_modes=k)
+        for _ in range(count)
+    ]
+
+
 class TestAlignModes:
     def test_flipped_target_restored(self):
-        basis = decompose(two_mode_field(), centering=False)
-        flipped = PODBasis(-basis.modes, -basis.coeffs, basis.eigenvalues,
-                           basis.quadrature_weights, basis.mean_field)
-        aligned = align_modes(basis, flipped)
-        w = basis.quadrature_weights
-        inner = np.einsum("jk,jk->k", basis.modes, w[:, None] * aligned.modes)
-        assert np.all(inner >= 0.0)
+        # negating a case's modes and coefficients is undone bit for bit
+        bases = varied_bases()
+        modes, coeffs = stacked(bases)
+        flipped_modes, flipped_coeffs = modes.copy(), coeffs.copy()
+        flipped_modes[2, [0, 2]] *= -1.0
+        flipped_coeffs[2][:, [0, 2]] *= -1.0
+        assert np.array_equal(align_modes(modes, coeffs)[0],
+                              align_modes(flipped_modes, flipped_coeffs)[0])
+        assert np.array_equal(modes, flipped_modes)
+        assert np.array_equal(coeffs, flipped_coeffs)
 
     def test_already_aligned_unchanged(self):
+        # equal modes in every case, each column's largest entry positive,
+        # are the reference itself and are not moved
         basis = decompose(two_mode_field(), centering=False)
-        aligned = align_modes(basis, basis)
-        assert np.array_equal(aligned.modes, basis.modes)
+        signs = np.sign(basis.modes[np.abs(basis.modes).argmax(axis=0), [0, 1]])
+        basis = PODBasis(basis.modes * signs, basis.coeffs * signs, basis.eigenvalues,
+                         basis.quadrature_weights)
+        modes, coeffs = stacked([basis] * 4)
+        before = modes.copy()
+        resid, gap = align_modes(modes, coeffs)
+        assert np.abs(modes - before).max() <= 1e-14
+        assert resid.max() <= 1e-14
+        assert gap > 1e12  # the cases span two dimensions between them
 
     def test_reconstruction_unchanged(self):
-        rng = np.random.default_rng(10)
-        fld = rng.normal(size=(12, 8))
-        ref = decompose(rng.normal(size=(12, 8)), centering=False)
-        target = decompose(fld, centering=False)
-        flipped = PODBasis(-target.modes, -target.coeffs, target.eigenvalues,
-                           target.quadrature_weights, target.mean_field)
-        aligned = align_modes(ref, flipped)
-        assert np.allclose(reconstruct(aligned), reconstruct(target), atol=1e-12)
+        w = np.linspace(0.5, 2.0, 40)
+        bases = varied_bases(weights=w)
+        modes, coeffs = stacked(bases)
+        resid, gap = align_modes(modes, coeffs, w)
+        for basis, rows, beta, r in zip(bases, modes, coeffs, resid):
+            aligned = PODBasis(rows.T, beta, basis.eigenvalues, w, basis.mean_field)
+            assert np.abs(reconstruct(aligned) - reconstruct(basis)).max() <= 1e-12
+            # still W-orthonormal, and the Procrustes fit no worse than the
+            # unrotated basis's
+            assert np.abs(rows @ (w * rows).T - np.eye(3)).max() <= 1e-12
+            assert r > 1e-3
+        assert 1.0 < gap < np.inf
+
+    def test_rotated_case_aligned_alike(self):
+        # any rotation of a case's modes, with its coefficients, leaves its
+        # rank-K reconstruction and so the aligned library unchanged
+        modes, coeffs = stacked(varied_bases())
+        q = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))[0]
+        rotated_modes, rotated_coeffs = modes.copy(), coeffs.copy()
+        rotated_modes[1] = q.T @ modes[1]
+        rotated_coeffs[1] = coeffs[1] @ q
+        align_modes(modes, coeffs)
+        align_modes(rotated_modes, rotated_coeffs)
+        assert np.abs(rotated_modes - modes).max() <= 1e-12
+        assert np.abs(rotated_coeffs - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
+
+    def test_case_order_permutes_rows(self):
+        modes, coeffs = stacked(varied_bases())
+        order = np.array([3, 0, 5, 1, 4, 2])
+        perm_modes, perm_coeffs = modes[order], coeffs[order]
+        resid, gap = align_modes(modes, coeffs)
+        perm_resid, perm_gap = align_modes(perm_modes, perm_coeffs)
+        assert np.abs(perm_modes - modes[order]).max() <= 1e-12
+        assert np.abs(perm_coeffs - coeffs[order]).max() <= 1e-12 * np.abs(coeffs).max()
+        assert np.allclose(perm_resid, resid[order], rtol=1e-10, atol=0.0)
+        assert perm_gap == pytest.approx(gap, rel=1e-10)
+
+    def test_strided_view_rotated_in_place(self):
+        # the emulator's library holds a mean row after each case's modes
+        bases = varied_bases()
+        modes, coeffs = stacked(bases)
+        library = np.zeros((len(bases), 4, 40))
+        library[:, :3] = modes
+        align_modes(library[:, :3], coeffs.copy())
+        align_modes(modes, coeffs)
+        assert np.abs(library[:, :3] - modes).max() <= 1e-14
+        assert not library[:, 3].any()
 
     def test_grid_mismatch(self):
-        a = decompose(np.random.default_rng(1).normal(size=(5, 4)),
-                      centering=False)
-        b = decompose(np.random.default_rng(2).normal(size=(6, 4)),
-                      centering=False)
+        modes, coeffs = stacked(varied_bases())
         with pytest.raises(ValueError):
-            align_modes(a, b)
+            align_modes(modes, coeffs, np.ones(41))
+        with pytest.raises(ValueError):
+            align_modes(modes, coeffs[:, :, :2])
 
