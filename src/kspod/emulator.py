@@ -102,9 +102,10 @@ class TrainOptions:
 
     Exactly one truncation rule applies: ``num_modes`` when given, otherwise
     the cumulative ``energy_threshold``; ``num_modes`` and ``restarts`` must
-    be integers (numpy integers included, booleans not). ``cluster_filter``
-    restricts training to cases whose metadata cluster is listed (metadata
-    must then be supplied, aligned with the cases). ``ranges`` defaults to the
+    be integers, and ``energy_threshold``, ``nugget`` and a given
+    ``weight_theta`` real numbers (numpy ones included, booleans not).
+    ``cluster_filter`` restricts training to cases whose metadata cluster is
+    listed (metadata must then be supplied, aligned with the cases). ``ranges`` defaults to the
     bounding box of the training designs. ``nugget``, ``log_theta_bounds``
     and ``restarts`` are checked as ``FitOptions`` and set the coefficient
     length-scale search, which runs once per mode on all its time-steps
@@ -128,6 +129,12 @@ class TrainOptions:
     weight_theta: float = None
 
     def __post_init__(self):
+        reals = {"energy_threshold": self.energy_threshold, "nugget": self.nugget}
+        if self.weight_theta is not None:
+            reals["weight_theta"] = self.weight_theta
+        for name, value in reals.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.num_modes is None and not 0.0 < self.energy_threshold <= 1.0:
             raise ValueError("energy_threshold must lie in (0, 1]")
         if self.num_modes is not None:
@@ -141,7 +148,7 @@ class TrainOptions:
                 for c in self.cluster_filter
             )
             object.__setattr__(self, "cluster_filter", members)
-        if self.weight_theta is not None and not 0.0 < float(self.weight_theta) < np.inf:
+        if self.weight_theta is not None and not 0.0 < self.weight_theta < np.inf:
             raise ValueError("weight_theta must be positive and finite")
         self.fit_options  # raises ValueError on bad kriging options
 
@@ -155,10 +162,11 @@ class EmulatorModel:
     """Trained emulator: the aligned case library and the coefficient and
     weight models, all held as arrays.
 
-    The fields are exactly what a KSEM2 file stores (KSEM1 without
-    ``mean_theta``). ``library`` is one C-contiguous case-major stack
-    (n, K + 1, J): per case the K aligned modes as rows (``modes.T``), then
-    the mean field, which is absent without centering. ``eigenvalues``
+    The fields are what a KSEM2 file stores (KSEM1 without ``mean_theta``)
+    but the coefficient means and variances, which are derived. ``library``
+    is one C-contiguous case-major stack (n, K + 1, J): per case the K
+    aligned modes as rows (``modes.T``), then the mean field, which is
+    absent without centering. ``eigenvalues``
     (n, K) and ``coefficients`` (K, m, n) are the cases' retained POD
     eigenvalues and aligned temporal coefficients. Prediction blends the
     mode rows with the indicator weights and the mean rows with the
@@ -169,20 +177,21 @@ class EmulatorModel:
     the indicator weights as well; an uncentered one has no ``mean_theta``.
 
     The coefficient GPs of mode k, on normalized inputs, share length-scales
-    ``coeff_theta[k]``; at time-step q the GP has mean ``coeff_mu[k, q]`` and
-    variance ``coeff_sigma2[k, q]``. ``options_record`` carries the indicator
-    weight parameter ``weight_theta`` and the ``nugget``.
+    ``coeff_theta[k]``. ``options_record`` carries the indicator weight
+    parameter ``weight_theta`` and the ``nugget``.
 
     Everything else is derived from the fields, here and only here, so a
-    model and its saved-and-loaded copy predict alike: ``rank`` (K), the
-    weights ``coeff_alpha[k, q] = R^-1 (y - mu)`` (K, m, n) rebuilt from the
-    stored means, the isotropic ``weight_params``, and the indicator and
-    mean-field weights on the unit-cube design. One ``OrdinaryKriging``
-    per length-scale (weights, mean, each mode) factorizes each of these
-    GPs, all on one array of squared design differences. The stored arrays
-    and ``coeff_alpha`` are read-only and ``options_record`` is a read-only
-    mapping, so no field can change under the state derived from it; a
-    changed model is a new one (``dataclasses.replace``).
+    model and its saved-and-loaded copy predict alike: ``rank`` (K); each
+    mode's GLS means ``coeff_mu`` (K, m), variances ``coeff_sigma2`` (K, m)
+    and weights ``coeff_alpha[k, q] = R^-1 (y - mu)`` (K, m, n), all from
+    the one fit of the mode's coefficients under its one factor; the
+    isotropic ``weight_params``; and the indicator and mean-field weights on
+    the unit-cube design. One ``OrdinaryKriging`` per length-scale (weights,
+    mean, each mode) factorizes each of these GPs, all on one array of
+    squared design differences. The stored and derived arrays are read-only
+    and ``options_record`` is a read-only mapping, so no field can change
+    under the state derived from it; a changed model is a new one
+    (``dataclasses.replace``).
     """
 
     design: np.ndarray        # (n, d) physical design points
@@ -191,8 +200,6 @@ class EmulatorModel:
     eigenvalues: np.ndarray   # (n, K)
     coefficients: np.ndarray  # (K, m, n)
     coeff_theta: np.ndarray   # (K, d)
-    coeff_mu: np.ndarray      # (K, m)
-    coeff_sigma2: np.ndarray  # (K, m)
     grid: np.ndarray          # (J, 2)
     times: np.ndarray         # (m,)
     centering: bool
@@ -204,7 +211,7 @@ class EmulatorModel:
     def __post_init__(self):
         object.__setattr__(self, "design", np.atleast_2d(self.design))
         names = ["design", "library", "eigenvalues", "coefficients", "coeff_theta",
-                 "coeff_mu", "coeff_sigma2", "grid", "times"]
+                 "grid", "times"]
         if self.mean_theta is not None:
             if not self.centering:
                 raise ValueError("an uncentered model has no mean-field length-scales")
@@ -219,10 +226,12 @@ class EmulatorModel:
         nugget = self.options_record["nugget"]
         weight_params = CorrelationParams.isotropic(
             self.options_record["weight_theta"], self.dims, nugget)
-        alpha = np.stack([
-            OrdinaryKriging(unit, CorrelationParams(th, nugget), diffs).fit(y, mu)[2]
-            for th, y, mu in zip(self.coeff_theta, self.coefficients, self.coeff_mu, strict=True)])
-        alpha.flags.writeable = False
+        fits = [OrdinaryKriging(unit, CorrelationParams(th, nugget), diffs).fit(y)
+                for th, y in zip(self.coeff_theta, self.coefficients, strict=True)]
+        derived = map(np.stack, zip(*fits))
+        for name, arr in zip(("coeff_mu", "coeff_sigma2", "coeff_alpha"), derived):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         # every length-scale a query correlates under, one row each: the
         # weights', the mean field's when it is kriged, then each mode's
         thetas = [weight_params.theta]
@@ -231,7 +240,6 @@ class EmulatorModel:
             mean_kriging = OrdinaryKriging(
                 unit, CorrelationParams(self.mean_theta, MEAN_WEIGHT_NUGGET), diffs)
             thetas.append(self.mean_theta)
-        object.__setattr__(self, "coeff_alpha", alpha)
         object.__setattr__(self, "weight_params", weight_params)
         object.__setattr__(self, "_design_unit", unit)
         object.__setattr__(self, "_indicator", OrdinaryKriging(unit, weight_params, diffs))
@@ -299,12 +307,13 @@ def train(cases, options: TrainOptions = None) -> EmulatorModel:
     fraction it captures in any case, and the alignment, with the largest
     and median per-case Procrustes residual |Phi_i R_i - U|_W / sqrt(K) and
     the gap mu_K / mu_(K+1) of the pooled eigenvalues (``pod.align_modes``);
-    each mode's
-    length-scale search and its result; the fixed fit; the weight
-    parameter; and, with centering, the mean-field length-scales with the
-    number of distinct ones scored, the identity residual max |W_mean(X) - I|
-    of the mean weights at the training designs, and the largest relative
-    miss max_i |W_mean(X)_i means - mean_i| / |mean_i| of the mean rows.
+    each mode's length-scale search and its result; the weight parameter;
+    the fixed fit, which builds the model (one fit per mode gives its
+    coefficient means, variances and weights); and, with centering, the
+    mean-field length-scales with the number of distinct ones scored, the
+    identity residual max |W_mean(X) - I| of the mean weights at the
+    training designs, and the largest relative miss
+    max_i |W_mean(X)_i means - mean_i| / |mean_i| of the mean rows.
     """
     options = options or TrainOptions()
     cases = list(cases)
@@ -380,15 +389,6 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         theta[k] = fit_theta(unit, coeff_tensor[:, :, k], options.fit_options)
         _log.info("train: mode %d length-scales %s in %.1f ms",
                   k, theta[k], _ms_since(t0))
-    coefficients = np.ascontiguousarray(coeff_tensor.transpose(2, 1, 0))
-    t0 = time.perf_counter()
-    diffs = _sq_diffs(unit)
-    mu, sigma2 = np.stack([
-        OrdinaryKriging(unit, CorrelationParams(th, options.nugget), diffs).fit(y)[:2]
-        for th, y in zip(theta, coefficients)], axis=1)
-    del diffs  # the model builds its own; training's peak memory does not grow
-    _log.info("train: fixed fit of %d coefficient models in %.1f ms",
-              mu.size, _ms_since(t0))
     t0 = time.perf_counter()
     theta_w = options.weight_theta
     if theta_w is None:
@@ -418,15 +418,14 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         "restarts": options.restarts,
         "weight_theta": float(theta_w),
     }
+    t0 = time.perf_counter()
     model = EmulatorModel(
         design=design,
         ranges=ranges,
         library=library,
         eigenvalues=np.stack([b.eigenvalues for b in truncated]),
-        coefficients=coefficients,
+        coefficients=np.ascontiguousarray(coeff_tensor.transpose(2, 1, 0)),
         coeff_theta=theta,
-        coeff_mu=mu,
-        coeff_sigma2=sigma2,
         grid=ref_case.grid,
         times=ref_case.times,
         centering=options.centering,
@@ -435,6 +434,8 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         units=ref_case.units,
         mean_theta=mean_theta,
     )
+    _log.info("train: fixed fit of %d coefficient models in %.1f ms",
+              model.coeff_mu.size, _ms_since(t0))
     if mean_theta is not None:
         # the identity residual overstates how far the blended mean rows miss
         # the training means, so their largest relative miss goes beside it;
@@ -602,7 +603,9 @@ def load_model(path) -> EmulatorModel:
     """Read a KSEM2 or KSEM1 file; one whose header word 8 is not 1, whose
     (K, m, d) length-scales differ across a mode's time-steps, or whose
     mean-field length-scales are not positive and finite (or belong to an
-    uncentered model) raises ValueError."""
+    uncentered model) raises ValueError, and a non-finite value
+    NonFiniteDataError. The stored coefficient means and variances are
+    checked, not kept: the model derives them as ``train``'s does."""
     with open(path, "rb") as fh:
         r = Reader(fh, (MAGIC, MAGIC_MEAN))
         n, d, j, m, k_rank, flags, restarts, shared, explicit_k = r.u64(9)
@@ -633,14 +636,12 @@ def load_model(path) -> EmulatorModel:
             sections += (lam, rows[:k_rank], beta, rows[k_rank:])
         r.into(*sections)
         theta = r.f64(k_rank * m * d, shape=(k_rank, m, d))
-        mu = r.f64(k_rank * m, shape=(k_rank, m))
-        sigma2 = r.f64(k_rank * m, shape=(k_rank, m))
+        mu_sigma2 = r.f64(2 * k_rank * m)  # checked, then derived by the model
         mean_theta = r.f64(d) if kriged_mean else None
         r.finish()
 
     ranges = DesignRanges(lower, upper)
-    for arr in (grid, times, design, theta, mu, sigma2, library, eigenvalues,
-                case_coeffs):
+    for arr in (grid, times, design, theta, mu_sigma2, library, eigenvalues, case_coeffs):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteDataError(f"{path}: payload contains non-finite values")
     if np.any(theta <= 0.0) or not 0.0 < weight_theta < np.inf \
@@ -673,8 +674,6 @@ def load_model(path) -> EmulatorModel:
         eigenvalues=eigenvalues,
         coefficients=np.ascontiguousarray(case_coeffs.transpose(1, 2, 0)),
         coeff_theta=theta[:, 0].copy(),
-        coeff_mu=mu,
-        coeff_sigma2=sigma2,
         grid=grid,
         times=times,
         centering=centering,

@@ -144,18 +144,17 @@ def _ones_block(y):
     return block
 
 
-def _gls(factor, block, mu=None):
+def _gls(factor, block):
     """Generalized least squares of the datasets in ``block`` = [1 | y] by one
     triangular solve W = L^-1 block against the lower factor L of R: with
-    v = L^-1 1, each dataset's mean is v'z / v'v (or the given ``mu``), its
-    whitened residual z - mu v and its variance |z - mu v|^2 / n (Rasmussen
-    & Williams 2006, Alg. 2.1). Returns mu (q,), sigma2 (q,) and W with the
-    residuals in place of z, column-major. Each dataset's sums run down its
-    own column, so it is fitted exactly as on its own."""
+    v = L^-1 1, each dataset's mean is mu = v'z / v'v, its whitened residual
+    z - mu v and its variance |z - mu v|^2 / n (Rasmussen & Williams 2006,
+    Alg. 2.1). Returns mu (q,), sigma2 (q,) and W with the residuals in
+    place of z, column-major. Each dataset's sums run down its own column,
+    so it is fitted exactly as on its own."""
     white = dtrtrs(factor, block, lower=1)[0]
     v, resid = white[:, 0], white[:, 1:]
-    if mu is None:
-        mu = np.einsum("n,nq->q", v, resid) / (v @ v)
+    mu = np.einsum("n,nq->q", v, resid) / (v @ v)
     # the transposed outer product is column-major like resid, so the
     # subtraction runs in memory order
     resid -= np.multiply.outer(mu, v).T
@@ -334,17 +333,15 @@ class OrdinaryKriging:
         u = dpotrs(self._factor, ones, lower=1)[0]
         return u / (u @ ones)
 
-    def fit(self, y, mu=None):
+    def fit(self, y):
         """Closed-form fit of datasets ``y`` (..., n), one per leading index,
         solved as one (n, q) block by _gls, each exactly as on its own.
         Returns the generalized-least-squares mean mu (...), the variance
-        sigma2 (...) and alpha = R^-1 (y - mu) = L^-T (z - mu v) (..., n). A
-        given ``mu`` (one read back from a file) is used as is, so alpha is
-        rebuilt exactly. Non-finite or mis-sized data raise ValueError."""
+        sigma2 (...) and alpha = R^-1 (y - mu) = L^-T (z - mu v) (..., n), all
+        from the one factor. Non-finite or mis-sized data raise ValueError."""
         y = _checked(self.x_pts, [y], axis=-1)[1][0]
         lead = y.shape[:-1]
-        mu = None if mu is None else np.array(np.broadcast_to(mu, lead), dtype=float).ravel()
-        mu, sigma2, white = _gls(self._factor, _ones_block(y.reshape(-1, y.shape[-1]).T), mu)
+        mu, sigma2, white = _gls(self._factor, _ones_block(y.reshape(-1, y.shape[-1]).T))
         # v rides along, so each residual is back-solved in a block of at least
         # two columns and rounds as it does in any other block
         alpha = dtrtrs(self._factor, white, lower=1, trans=1)[0][:, 1:].T

@@ -177,6 +177,17 @@ class TestTrain:
         model = train(small_cases, options)
         assert model.n_cases == expected
 
+    def test_one_coefficient_fit_per_mode(self, small_cases, desk_setup, monkeypatch):
+        # each mode's means, variances and weights come from one fit under
+        # its one factor, made once, when the model is built
+        calls = []
+        real = OrdinaryKriging.fit
+        monkeypatch.setattr(OrdinaryKriging, "fit",
+                            lambda gp, y, *rest: calls.append(y.shape) or real(gp, y, *rest))
+        model = train(small_cases, TrainOptions(ranges=desk_setup["ranges"]))
+        k, m, n = model.coefficients.shape
+        assert calls == [(m, n)] * k
+
     def test_cluster_filter_needs_metadata(self, small_cases, desk_setup):
         with pytest.raises(ValueError):
             train(small_cases, TrainOptions(ranges=desk_setup["ranges"],
@@ -189,9 +200,10 @@ class TestTrain:
         records = [r for r in caplog.records
                    if r.name == "kspod" and r.levelno == logging.INFO]
         stages = [r.getMessage().split()[1] for r in records]
+        # the fixed fit is the model's construction, after the weight stage
         assert stages == ["decomposed", "common"] + ["mode"] * model.rank \
-            + ["fixed", "weight", "mean"]
-        decomposed, ranked, *modes, fixed, weight, mean = records
+            + ["weight", "fixed", "mean"]
+        decomposed, ranked, *modes, weight, fixed, mean = records
         assert decomposed.args[0] == len(small_cases)
         assert ranked.args[0] == model.rank == small_model.rank
         threshold = model.options_record["energy_threshold"]
@@ -610,6 +622,14 @@ class TestOptions:
         for bad in (-1.0, np.nan):
             with pytest.raises(ValueError):
                 TrainOptions(weight_theta=bad)
+        # a boolean or a string is not a number, and the error names the field
+        for name in ("energy_threshold", "nugget", "weight_theta"):
+            for bad in (True, np.True_, "2", None):
+                if name == "weight_theta" and bad is None:
+                    continue  # the default: fitted
+                with pytest.raises(ValueError, match=f"{name} must be a number"):
+                    TrainOptions(**{name: bad})
+        assert TrainOptions(weight_theta=np.float32(2.0), nugget=0).weight_theta == 2.0
         for bad in ({"restarts": 0}, {"restarts": 2.5}, {"nugget": -1e-3},
                     {"log_theta_bounds": (3.0, -3.0)}):
             with pytest.raises(ValueError):
@@ -677,6 +697,35 @@ class TestSerialization:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_stored_means_and_variances_are_derived(self, small_model, desk_setup,
+                                                    tmp_path):
+        # the coefficient means and variances a file stores are checked but
+        # not kept: patched to other finite values, the file loads as the
+        # trained model and re-saves to its bytes; a non-finite one is refused
+        path = tmp_path / "model.ksem"
+        save_model(small_model, path)
+        data = path.read_bytes()
+        size = small_model.coeff_mu.size
+        mu_at = len(data) - 8 * (small_model.dims + 2 * size)
+        stored = np.frombuffer(data, "<f8", 2 * size, mu_at)
+        assert np.array_equal(stored, np.concatenate(
+            (small_model.coeff_mu.ravel(), small_model.coeff_sigma2.ravel())))
+        patched = tmp_path / "patched.ksem"
+        patched.write_bytes(data[:mu_at] + (stored * 3.0 + 1.0).tobytes()
+                            + data[mu_at + 16 * size:])
+        loaded = load_model(patched)
+        rng = np.random.default_rng(4)
+        for x in desk_setup["ranges"].scale(rng.uniform(size=(4, small_model.dims))):
+            assert np.array_equal(predict_field(loaded, x), predict_field(small_model, x))
+        save_model(loaded, tmp_path / "again.ksem")
+        assert (tmp_path / "again.ksem").read_bytes() == data
+        for offset in (mu_at, mu_at + 8 * size):
+            bad = bytearray(data)
+            bad[offset:offset + 8] = np.float64(np.nan).tobytes()
+            patched.write_bytes(bytes(bad))
+            with pytest.raises(NonFiniteDataError):
+                load_model(patched)
+
     def test_replaced_model_predicts_as_its_reload(self, small_model, desk_setup,
                                                    tmp_path):
         # the coefficient weights, the weight parameters and the rank are
@@ -696,7 +745,7 @@ class TestSerialization:
             pred = predict_field(model, probe)
             assert not np.array_equal(pred, base)
             assert np.array_equal(pred, predict_field(load_model(path), probe))
-        for derived in ("rank", "weight_params", "coeff_alpha"):
+        for derived in ("rank", "weight_params", "coeff_mu", "coeff_sigma2", "coeff_alpha"):
             with pytest.raises(TypeError):
                 dataclasses.replace(small_model, **{derived: getattr(small_model, derived)})
         # one length-scale vector per mode, for every mode
@@ -733,14 +782,27 @@ class TestSerialization:
     @pytest.mark.parametrize("name", ["centered", "uncentered"])
     def test_golden_file_layout(self, name, tmp_path):
         # small KSEM1 files kept as written (4 cases, 12 points, 6 steps):
-        # they re-save byte for byte, and case 0 read straight from the file
-        # at the offsets the layout implies equals the loaded arrays
+        # they re-save byte for byte but for the coefficient means and
+        # variances, which the model derives, and case 0 read straight from
+        # the file at the offsets the layout implies equals the loaded arrays
         path = DATA / f"ksem1_{name}.ksem"
         data = path.read_bytes()
         model = load_model(path)
         save_model(model, tmp_path / "again.ksem")
-        assert (tmp_path / "again.ksem").read_bytes() == data
+        again = (tmp_path / "again.ksem").read_bytes()
         n, d, j, m, k_rank, flags = struct.unpack_from("<6Q", data, 6)
+        # the files were written when each (mode, time-step) had its own
+        # fit: their means and variances differ from the derived ones in the
+        # last bits, by at most 2.2e-16 (means) and 8.8e-15 (variances) of
+        # the largest, measured; the bounds allow about 4.5 times that
+        mu_at = len(data) - 16 * k_rank * m
+        assert len(again) == len(data) and again[:mu_at] == data[:mu_at]
+        stored = np.frombuffer(data, "<f8", 2 * k_rank * m, mu_at).reshape(2, k_rank, m)
+        for derived, kept, bound in zip((model.coeff_mu, model.coeff_sigma2), stored,
+                                        (1e-15, 4e-14)):
+            assert np.abs(derived - kept).max() <= bound * np.abs(kept).max()
+        save_model(load_model(tmp_path / "again.ksem"), tmp_path / "twice.ksem")
+        assert (tmp_path / "twice.ksem").read_bytes() == again
         assert k_rank >= 2 and bool(flags & 1) == model.centering
         assert model.library.shape == (n, k_rank + model.centering, j)
         assert model.library.flags.c_contiguous
