@@ -9,19 +9,14 @@ metrics (``metrics``), and the command-line pipeline (``cli``).
 
 from . import errors
 from .design import (
-    CaseMetadata,
     Cluster,
     DesignMatrix,
     DesignRanges,
-    GeometrySpec,
     SWIRL_DESIGN_RANGES,
     assign_cluster,
     generate_slhd,
     read_design_csv,
-    recommended_sample_size,
     scale_design,
-    swirl_geometric_constant,
-    unscale_design,
     write_design_csv,
 )
 from .emulator import (

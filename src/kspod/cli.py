@@ -3,8 +3,7 @@ prediction, and evaluation reports.
 
 Every command is deterministic for a fixed (config, seed): repeated runs
 produce byte-identical artifacts. Exit codes: 0 success, 1 domain error
-(parse failure, ill-conditioning, degenerate weights), 2 usage or
-configuration error.
+(parse failure, ill-conditioning), 2 usage or configuration error.
 """
 
 import argparse

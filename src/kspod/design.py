@@ -1,8 +1,8 @@
-"""Space-filling experimental designs and swirl-case descriptors.
+"""Space-filling experimental designs and swirl-case inlet clusters.
 
 Provides sliced Latin hypercube generation on the unit cube, affine scaling
-to physical design ranges, the swirl geometric constant, and inlet-velocity
-cluster assignment, plus CSV serialization of design matrices.
+to physical design ranges (``DesignRanges.normalize`` maps back), and
+inlet-velocity cluster assignment, plus CSV serialization of design matrices.
 """
 
 import logging
@@ -15,18 +15,13 @@ from ._frozen import reduce_by_constructor
 
 __all__ = [
     "Cluster",
-    "CaseMetadata",
     "DesignMatrix",
     "DesignRanges",
-    "GeometrySpec",
     "SWIRL_DESIGN_RANGES",
     "assign_cluster",
     "generate_slhd",
     "read_design_csv",
-    "recommended_sample_size",
     "scale_design",
-    "swirl_geometric_constant",
-    "unscale_design",
     "write_design_csv",
 ]
 
@@ -155,22 +150,6 @@ SWIRL_DESIGN_RANGES = DesignRanges.from_pairs(
 )
 
 
-@dataclass(frozen=True)
-class GeometrySpec:
-    """Swirl injector cross-sections and radii, all strictly positive (mm)."""
-
-    exit_area: float      # nozzle exit cross-section area (mm^2)
-    inlet_area: float     # total tangential inlet area (mm^2)
-    inlet_offset: float   # radial offset of the inlet (mm)
-    nozzle_radius: float  # nozzle radius (mm)
-
-    def __post_init__(self):
-        for name in ("exit_area", "inlet_area", "inlet_offset", "nozzle_radius"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
 class Cluster(Enum):
     """Inlet-velocity regime of a swirl case."""
 
@@ -178,15 +157,6 @@ class Cluster(Enum):
     B = "B"
     C = "C"
     D = "D"
-
-
-def recommended_sample_size(d) -> int:
-    """Sample count for a d-dimensional design study (ten runs per dimension)."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise TypeError("dimension count must be an integer")
-    if d < 1:
-        raise ValueError("dimension count must be at least 1")
-    return 10 * int(d)
 
 
 def generate_slhd(s: int, q: int, d: int, seed: int) -> DesignMatrix:
@@ -281,34 +251,15 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sum((a[:, None, k] - b[None, :, k]) ** 2 for k in range(a.shape[1]))
 
 
-def _as_points(design) -> np.ndarray:
-    pts = design.points if isinstance(design, DesignMatrix) else design
-    return np.atleast_2d(np.asarray(pts, dtype=float))
-
-
 def scale_design(unit, ranges: DesignRanges) -> np.ndarray:
     """Map unit-cube coordinates onto physical design ranges (affine)."""
-    pts = _as_points(unit)
+    pts = unit.points if isinstance(unit, DesignMatrix) else unit
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != ranges.dims:
         raise ValueError(
             f"design has {pts.shape[1]} dims, ranges have {ranges.dims}"
         )
     return ranges.scale(pts)
-
-
-def unscale_design(physical, ranges: DesignRanges) -> np.ndarray:
-    """Inverse of scale_design: physical coordinates back to the unit cube."""
-    pts = _as_points(physical)
-    if pts.shape[1] != ranges.dims:
-        raise ValueError(
-            f"design has {pts.shape[1]} dims, ranges have {ranges.dims}"
-        )
-    return ranges.normalize(pts)
-
-
-def swirl_geometric_constant(g: GeometrySpec) -> float:
-    """Dimensionless swirl-strength indicator of an injector geometry."""
-    return g.exit_area * g.inlet_offset / (g.inlet_area * g.nozzle_radius)
 
 
 def assign_cluster(u_in: float) -> Cluster:
@@ -326,30 +277,6 @@ def assign_cluster(u_in: float) -> Cluster:
     if u_in < 25.0:
         return Cluster.C
     return Cluster.D
-
-
-@dataclass(frozen=True)
-class CaseMetadata:
-    """Per-case operating point. Velocities in m/s; cluster follows u_in."""
-
-    u_in: float
-    u_r: float
-    u_theta: float
-    cluster: Cluster = None
-    inlet_temperature: float = None   # K
-    ambient_temperature: float = None  # K
-    ambient_pressure: float = None    # MPa
-    mass_flow_rate: float = None      # kg/s
-
-    def __post_init__(self):
-        expected = assign_cluster(self.u_in)
-        if self.cluster is None:
-            object.__setattr__(self, "cluster", expected)
-        elif self.cluster is not expected:
-            raise ValueError(
-                f"cluster {self.cluster.value} inconsistent with "
-                f"u_in={self.u_in} (expected {expected.value})"
-            )
 
 
 def write_design_csv(design: DesignMatrix, path) -> None:

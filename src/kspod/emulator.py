@@ -8,8 +8,9 @@ mean, variance and weights), configures shared-parameter indicator kriging
 over the design space and, with centering, fits one length-scale vector
 for the case mean fields. Prediction at an untried design is one pass: the
 query's correlations under every length-scale come from one product, the
-per-case modes are blended with normalized indicator weights and the mean
-fields with ordinary-kriging weights under the mean length-scales, the
+per-case modes are blended with the indicator weights (ordinary-kriging
+weights, which sum to one by construction) and the mean fields with
+ordinary-kriging weights under the mean length-scales, the
 coefficient models are evaluated and one product recombines. A model read
 from a KSEM1 file has no mean length-scales and blends its mean fields with
 the indicator weights, as such files were written to.
@@ -31,19 +32,15 @@ import numpy as np
 
 from ._binio import MAX_ELEMENTS, Reader, Writer
 from ._frozen import reduce_by_constructor
-from .design import Cluster, DesignRanges
-from .errors import (
-    DegenerateWeightsError,
-    DimensionOverflowError,
-    IncompatibleCasesError,
-    NonFiniteDataError,
-)
+from .design import DesignRanges
+from .errors import DimensionOverflowError, IncompatibleCasesError, NonFiniteDataError
 from .kriging import (
     DEFAULT_LOG_THETA_BOUNDS,
     DEFAULT_NUGGET,
     CorrelationParams,
     FitOptions,
     OrdinaryKriging,
+    _is_real,
     _search_theta,
     _sq_diffs,
     fit_indicator_theta,
@@ -77,10 +74,6 @@ MAGIC_MEAN = "KSEM2"
 MEAN_COLUMN_STRIDE = 7
 MEAN_WEIGHT_NUGGET = 1e-10
 
-# Below this magnitude the raw-weight sum is treated as degenerate; the
-# normalizing division is refused rather than amplified.
-WEIGHT_SUM_EPS = 1e-6
-
 _log = logging.getLogger("kspod")
 
 
@@ -90,10 +83,15 @@ def _ms_since(t0: float) -> float:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Raw per-case blending weights and their sum-normalized form."""
+    """Per-case indicator-kriging blending weights. They are ordinary-kriging
+    weights and sum to one by construction, so ``normalized`` is ``raw``,
+    kept for callers that read it."""
 
     raw: np.ndarray
-    normalized: np.ndarray
+
+    @property
+    def normalized(self) -> np.ndarray:
+        return self.raw
 
 
 @dataclass(frozen=True)
@@ -102,10 +100,9 @@ class TrainOptions:
 
     Exactly one truncation rule applies: ``num_modes`` when given, otherwise
     the cumulative ``energy_threshold``; ``num_modes`` and ``restarts`` must
-    be integers, and ``energy_threshold``, ``nugget`` and a given
-    ``weight_theta`` real numbers (numpy ones included, booleans not).
-    ``cluster_filter`` restricts training to cases whose metadata cluster is
-    listed (metadata must then be supplied, aligned with the cases). ``ranges`` defaults to the
+    be integers, and ``energy_threshold``, ``nugget``, a given
+    ``weight_theta`` and both ``log_theta_bounds`` entries real numbers
+    (numpy ones included, booleans not). ``ranges`` defaults to the
     bounding box of the training designs. ``nugget``, ``log_theta_bounds``
     and ``restarts`` are checked as ``FitOptions`` and set the coefficient
     length-scale search, which runs once per mode on all its time-steps
@@ -120,8 +117,6 @@ class TrainOptions:
     energy_threshold: float = 0.99
     num_modes: int = None
     centering: bool = True
-    cluster_filter: frozenset = None
-    metadata: tuple = None
     ranges: DesignRanges = None
     nugget: float = DEFAULT_NUGGET
     log_theta_bounds: tuple = DEFAULT_LOG_THETA_BOUNDS
@@ -129,11 +124,11 @@ class TrainOptions:
     weight_theta: float = None
 
     def __post_init__(self):
-        reals = {"energy_threshold": self.energy_threshold, "nugget": self.nugget}
+        reals = {"energy_threshold": self.energy_threshold}
         if self.weight_theta is not None:
             reals["weight_theta"] = self.weight_theta
         for name, value in reals.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if self.num_modes is None and not 0.0 < self.energy_threshold <= 1.0:
             raise ValueError("energy_threshold must lie in (0, 1]")
@@ -142,12 +137,6 @@ class TrainOptions:
                 raise ValueError(f"num_modes must be an integer, got {self.num_modes!r}")
             if self.num_modes < 1:
                 raise ValueError("num_modes must be at least 1")
-        if self.cluster_filter is not None:
-            members = frozenset(
-                c if isinstance(c, Cluster) else Cluster(str(c))
-                for c in self.cluster_filter
-            )
-            object.__setattr__(self, "cluster_filter", members)
         if self.weight_theta is not None and not 0.0 < self.weight_theta < np.inf:
             raise ValueError("weight_theta must be positive and finite")
         self.fit_options  # raises ValueError on bad kriging options
@@ -319,20 +308,6 @@ def train(cases, options: TrainOptions = None) -> EmulatorModel:
     cases = list(cases)
     if not cases:
         raise ValueError("at least one training case is required")
-
-    if options.cluster_filter is not None:
-        if options.metadata is None or len(options.metadata) != len(cases):
-            raise ValueError(
-                "cluster_filter requires metadata aligned with the cases"
-            )
-        kept = [
-            (c, meta) for c, meta in zip(cases, options.metadata)
-            if meta.cluster in options.cluster_filter
-        ]
-        if not kept:
-            raise ValueError("cluster filter removed every training case")
-        cases = [c for c, _ in kept]
-
     if len(cases) == 1:
         warnings.warn(
             "training on a single case: predictions will reproduce that "
@@ -459,16 +434,6 @@ def _normalize_query(model: EmulatorModel, x_new) -> np.ndarray:
     return model.ranges.normalize(x)
 
 
-def _normalize_raw(raw: np.ndarray, x_new) -> np.ndarray:
-    total = raw.sum()
-    if abs(total) < WEIGHT_SUM_EPS:
-        raise DegenerateWeightsError(
-            f"raw weights sum to {total:.3e} at design "
-            f"{np.array2string(np.atleast_1d(np.asarray(x_new, dtype=float)))}"
-        )
-    return raw / total
-
-
 def _correlations(model: EmulatorModel, x_new) -> np.ndarray:
     """Correlations of the query to the n training designs, one row per
     length-scale of ``_query_theta`` (weights, kriged mean, modes), from one
@@ -479,14 +444,14 @@ def _correlations(model: EmulatorModel, x_new) -> np.ndarray:
 
 
 def weight_vector(model: EmulatorModel, x_new) -> WeightVector:
-    """Indicator-kriging blending weights of the training cases at x_new."""
-    raw = model._indicator.solve(_correlations(model, x_new)[0])
-    return WeightVector(raw, _normalize_raw(raw, x_new))
+    """Indicator-kriging blending weights of the training cases at x_new,
+    ordinary-kriging weights that sum to one."""
+    return WeightVector(model._indicator.solve(_correlations(model, x_new)[0]))
 
 
 def predict_modes(model: EmulatorModel, x_new) -> np.ndarray:
-    """Normalized-weight average of the aligned per-case modes, (J, K)."""
-    w = weight_vector(model, x_new).normalized
+    """Indicator-weighted average of the aligned per-case modes, (J, K)."""
+    w = weight_vector(model, x_new).raw
     library = model.library
     return (w @ library[:, :model.rank].reshape(library.shape[0], -1)).reshape(
         model.rank, -1).T
@@ -507,7 +472,7 @@ def predict_field(model: EmulatorModel, x_new, time_indices=None) -> np.ndarray:
 
     One pass: the query is normalized once and its correlations under every
     length-scale come from one exponent product. The modes are blended with
-    the normalized indicator weights; with centering on, the mean field is
+    the indicator weights, which sum to one; with centering on, the mean field is
     blended with the ordinary-kriging weights under ``mean_theta`` (or, for
     a model without it, with the indicator weights too) and added inside the
     recombining product as a coefficient row of ones.
@@ -517,7 +482,7 @@ def predict_field(model: EmulatorModel, x_new, time_indices=None) -> np.ndarray:
     r = _correlations(model, x_new)
     library, k = model.library, model.rank
     n = library.shape[0]
-    w = _normalize_raw(model._indicator.solve(r[0]), x_new)
+    w = model._indicator.solve(r[0])
     rows = np.empty(library.shape[1:])  # (K [+ 1], J) blended library rows
     if model._mean_kriging is None:
         np.matmul(w, library.reshape(n, -1), out=rows.reshape(-1))

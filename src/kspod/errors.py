@@ -45,10 +45,6 @@ class IncompatibleCasesError(KspodError):
     """Training cases do not share a common grid or time vector."""
 
 
-class DegenerateWeightsError(KspodError):
-    """Blending weights sum to (numerically) zero at a query point."""
-
-
 class UndefinedBaselineError(KspodError):
     """Relative error requested against a zero baseline value."""
 

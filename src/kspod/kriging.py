@@ -82,6 +82,11 @@ class CorrelationParams:
         return cls(np.full(dims, float(theta)), nugget)
 
 
+def _is_real(value) -> bool:
+    """A real number, numpy ones included, booleans not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FitOptions:
     nugget: float = DEFAULT_NUGGET
@@ -89,9 +94,17 @@ class FitOptions:
     restarts: int = 8
 
     def __post_init__(self):
+        if not _is_real(self.nugget):
+            raise ValueError(f"nugget must be a number, got {self.nugget!r}")
         if not (np.isfinite(self.nugget) and self.nugget >= 0.0):
             raise ValueError("nugget must be finite and nonnegative")
-        lo, hi = self.log_theta_bounds
+        try:
+            lo, hi = self.log_theta_bounds
+        except (TypeError, ValueError):  # not two entries
+            lo = hi = None
+        if not (_is_real(lo) and _is_real(hi)):
+            raise ValueError(
+                f"log_theta_bounds must be two numbers, got {self.log_theta_bounds!r}")
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError("log_theta_bounds must be finite with lower < upper")
         if isinstance(self.restarts, bool) or not isinstance(self.restarts, numbers.Integral):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -9,15 +10,22 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(kspod.__path__))
 
 # names that must stay gone: the package saves only KSPD1 and KSEM files,
 # prediction never needs a pointwise correlation, and one class,
-# OrdinaryKriging, serves every fit and weight at fixed length-scales
+# OrdinaryKriging, serves every fit and weight at fixed length-scales; no
+# caller needs the swirl-geometry helpers or per-case metadata, and
+# ordinary-kriging weights need no renormalization
 SINGLE_GP = ("KrigingModel", "fit", "predict", "indicator_weights")
+DESIGN = ("GeometrySpec", "swirl_geometric_constant", "recommended_sample_size",
+          "unscale_design", "CaseMetadata")
 REMOVED = {
     "kspod": ("correlation", "read_basis", "write_basis", "read_model",
-              "write_model", *SINGLE_GP),
+              "write_model", *SINGLE_GP, *DESIGN),
+    "kspod.design": DESIGN,
     "kspod.pod": ("MAGIC", "read_basis", "write_basis"),
     "kspod.kriging": ("MAGIC", "correlation", "read_model", "write_model", *SINGLE_GP,
                       "_build_model", "_query_correlations", "fit_fixed",
                       "IndicatorKriging"),
+    "kspod.emulator": ("_normalize_raw", "WEIGHT_SUM_EPS"),
+    "kspod.errors": ("DegenerateWeightsError",),
 }
 
 
@@ -39,3 +47,6 @@ def test_public_surface():
         for attr in names:
             assert not hasattr(module, attr), f"{module_name}.{attr}"
             assert attr not in getattr(module, "__all__", ())
+    # nor a removed training option
+    names = {field.name for field in dataclasses.fields(kspod.TrainOptions)}
+    assert not names & {"cluster_filter", "metadata"}

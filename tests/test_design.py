@@ -9,19 +9,14 @@ from scipy.spatial.distance import pdist
 from kspod.design import (
     _MAXIMIN_ATTEMPTS,
     _maximin_swap_pass,
-    CaseMetadata,
     Cluster,
     DesignMatrix,
     DesignRanges,
-    GeometrySpec,
     SWIRL_DESIGN_RANGES,
     assign_cluster,
     generate_slhd,
     read_design_csv,
-    recommended_sample_size,
     scale_design,
-    swirl_geometric_constant,
-    unscale_design,
     write_design_csv,
 )
 
@@ -73,22 +68,6 @@ def pdist_swap_pass(points, s, q, rng):
         else:
             pts[i, k], pts[j, k] = pts[j, k], pts[i, k]
     return pts
-
-
-class TestSampleSize:
-    def test_three_dims(self):
-        assert recommended_sample_size(3) == 30
-
-    def test_one_dim(self):
-        assert recommended_sample_size(1) == 10
-
-    def test_zero_dims_rejected(self):
-        with pytest.raises(ValueError):
-            recommended_sample_size(0)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(TypeError):
-            recommended_sample_size(2.5)
 
 
 class TestGenerateSlhd:
@@ -295,8 +274,7 @@ class TestScaling:
 
     def test_round_trip_identity(self):
         pts = np.random.default_rng(5).uniform(size=(40, 3))
-        back = unscale_design(scale_design(pts, SWIRL_DESIGN_RANGES),
-                              SWIRL_DESIGN_RANGES)
+        back = SWIRL_DESIGN_RANGES.normalize(scale_design(pts, SWIRL_DESIGN_RANGES))
         assert np.all(np.abs(back - pts) <= 1e-12 * np.maximum(1.0, np.abs(pts)))
 
     def test_dimension_mismatch(self):
@@ -306,33 +284,6 @@ class TestScaling:
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
             DesignRanges(np.array([1.0]), np.array([1.0]))
-
-
-class TestGeometricConstant:
-    def test_symmetric_unity(self):
-        assert swirl_geometric_constant(GeometrySpec(1.0, 1.0, 1.0, 1.0)) == 1.0
-        assert swirl_geometric_constant(GeometrySpec(2.0, 3.0, 3.0, 2.0)) == 1.0
-
-    def test_direct_arithmetic(self):
-        value = swirl_geometric_constant(GeometrySpec(6.0, 1.2, 0.85, 4.5))
-        assert value == pytest.approx(6.0 * 0.85 / (1.2 * 4.5), rel=1e-15)
-
-    def test_scale_invariance(self):
-        g = GeometrySpec(6.0, 1.2, 0.85, 4.5)
-        base = swirl_geometric_constant(g)
-        for c in (0.25, 3.0, 117.0):
-            areas = GeometrySpec(c * g.exit_area, c * g.inlet_area,
-                                 g.inlet_offset, g.nozzle_radius)
-            radii = GeometrySpec(g.exit_area, g.inlet_area,
-                                 c * g.inlet_offset, c * g.nozzle_radius)
-            assert swirl_geometric_constant(areas) == pytest.approx(base, rel=1e-12)
-            assert swirl_geometric_constant(radii) == pytest.approx(base, rel=1e-12)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            GeometrySpec(0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            GeometrySpec(1.0, 1.0, -0.1, 1.0)
 
 
 class TestClusters:
@@ -350,12 +301,6 @@ class TestClusters:
     def test_nonpositive_velocity(self):
         with pytest.raises(ValueError):
             assign_cluster(0.0)
-
-    def test_metadata_autofill_and_consistency(self):
-        meta = CaseMetadata(u_in=12.35, u_r=9.35, u_theta=8.07)
-        assert meta.cluster is Cluster.B
-        with pytest.raises(ValueError):
-            CaseMetadata(u_in=12.35, u_r=9.35, u_theta=8.07, cluster=Cluster.D)
 
 
 class TestCsv:
