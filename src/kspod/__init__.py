@@ -32,11 +32,7 @@ from .emulator import (
     train,
     weight_vector,
 )
-from .kriging import (
-    CorrelationParams,
-    FitOptions,
-    fit_indicator_theta,
-)
+from .kriging import FitOptions, fit_indicator_theta
 from .metrics import (
     AxialErrorProfile,
     GaussianKde,

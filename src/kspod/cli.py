@@ -18,6 +18,7 @@ import numpy as np
 from .design import DesignRanges, generate_slhd, read_design_csv, scale_design, write_design_csv
 from .emulator import TrainOptions, load_model, predict_snapshots, save_model, train
 from .errors import ConfigError, KspodError
+from .kriging import _is_real
 from .metrics import evaluation_report, time_averaged_l2_error
 from .snapshots import default_recipe, make_grid, make_times, read_dataset, synth_flowfield, write_dataset
 
@@ -51,7 +52,6 @@ _CONFIG_DEFAULTS = {
         "nugget": 1e-8,
         "log_theta_bounds": [-6.0, 6.0],
         "restarts": 8,
-        "weight_theta": None,
     },
     "test": {"count": 8, "shrink": 0.75},
     "predict": {"design": None, "time_indices": None},
@@ -108,36 +108,26 @@ def _grid_times(cfg: dict):
     return grid, times
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _train_options(cfg: dict) -> TrainOptions:
-    pod_cfg = cfg["pod"]
-    krg = cfg["kriging"]
+    """TrainOptions checks every value; one it refuses is a ConfigError."""
+    pod_cfg, krg = cfg["pod"], cfg["kriging"]
     threshold = pod_cfg["energy_threshold"]
-    if not isinstance(pod_cfg["centering"], bool):
-        raise ConfigError(f"pod.centering must be a boolean, got {pod_cfg['centering']!r}")
-    # null stands for the default where it may; TrainOptions checks the counts
-    for name, value, nullable in (("pod.energy_threshold", threshold, True),
-                                  ("kriging.nugget", krg["nugget"], False),
-                                  ("kriging.weight_theta", krg["weight_theta"], True)):
-        if not (_is_number(value) or nullable and value is None):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-    bounds = krg["log_theta_bounds"]
-    if not (isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))):
-        raise ConfigError(f"kriging.log_theta_bounds must be two numbers, got {bounds!r}")
-    return TrainOptions(
-        energy_threshold=0.99 if threshold is None else threshold,
-        num_modes=pod_cfg["num_modes"],
-        centering=pod_cfg["centering"],
-        ranges=_ranges(cfg),
-        nugget=float(krg["nugget"]),
-        log_theta_bounds=tuple(krg["log_theta_bounds"]),
-        restarts=krg["restarts"],
-        weight_theta=krg["weight_theta"],
-    )
+    ranges = _ranges(cfg)
+    try:
+        return TrainOptions(
+            # null stands for the default threshold
+            energy_threshold=0.99 if threshold is None else threshold,
+            num_modes=pod_cfg["num_modes"],
+            centering=pod_cfg["centering"],
+            ranges=ranges,
+            nugget=krg["nugget"],
+            log_theta_bounds=krg["log_theta_bounds"],
+            restarts=krg["restarts"],
+        )
+    except ValueError as exc:
+        # each message begins with the field, which is a pod or kriging key
+        section = "pod" if str(exc).split(" ", 1)[0] in pod_cfg else "kriging"
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -285,7 +275,7 @@ def _interior_test_points(cfg) -> np.ndarray:
     # held-out designs are the Latin hypercube shrunk about the centre, so a
     # factor outside (0, 1] would leave the design box or collapse them
     shrink = t["shrink"]
-    if not _is_number(shrink) or not 0.0 < shrink <= 1.0:
+    if not _is_real(shrink) or not 0.0 < shrink <= 1.0:
         raise ConfigError(f"test.shrink must be a number in (0, 1], got {shrink!r}")
     raw = generate_slhd(1, count, cfg["design"]["dims"], cfg["seed"] + 1)
     return 0.5 + shrink * (raw.points - 0.5)
@@ -295,11 +285,11 @@ def _cmd_pipeline(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    options = _train_options(cfg)
+    test_points = _interior_test_points(cfg)
     if args.workdir is not None:
         cfg["_base_dir"] = Path(args.workdir)
         Path(args.workdir).mkdir(parents=True, exist_ok=True)
-    options = _train_options(cfg)
-    test_points = _interior_test_points(cfg)
 
     d_cfg = cfg["design"]
     design = generate_slhd(

@@ -26,6 +26,7 @@ import time
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -37,7 +38,6 @@ from .errors import DimensionOverflowError, IncompatibleCasesError, NonFiniteDat
 from .kriging import (
     DEFAULT_LOG_THETA_BOUNDS,
     DEFAULT_NUGGET,
-    CorrelationParams,
     FitOptions,
     OrdinaryKriging,
     _is_real,
@@ -96,22 +96,22 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class TrainOptions:
-    """Knobs for emulator training.
+    """Knobs for emulator training, each checked here; a refused value
+    raises a ValueError that names the field.
 
     Exactly one truncation rule applies: ``num_modes`` when given, otherwise
     the cumulative ``energy_threshold``; ``num_modes`` and ``restarts`` must
-    be integers, and ``energy_threshold``, ``nugget``, a given
-    ``weight_theta`` and both ``log_theta_bounds`` entries real numbers
-    (numpy ones included, booleans not). ``ranges`` defaults to the
-    bounding box of the training designs. ``nugget``, ``log_theta_bounds``
-    and ``restarts`` are checked as ``FitOptions`` and set the coefficient
-    length-scale search, which runs once per mode on all its time-steps
-    together. ``weight_theta`` fixes the (positive) indicator-weight
-    parameter; by default it is a grid theta within ``log_theta_bounds``
-    whose weights keep the interpolation identity at the training designs
-    while the next lower one's do not (``kriging.fit_indicator_theta``).
-    That is the smallest passing theta under a nugget; with a zero nugget a
-    lower one may pass as well.
+    be integers, ``energy_threshold``, ``nugget`` and both
+    ``log_theta_bounds`` entries real numbers (numpy ones included, booleans
+    not) and ``centering`` a boolean. ``ranges`` (a ``DesignRanges``)
+    defaults to the bounding box of the training designs. ``nugget``,
+    ``log_theta_bounds`` and ``restarts`` are checked as ``FitOptions`` and
+    set the coefficient length-scale search, run once per mode on all its
+    time-steps together. The indicator-weight parameter is always fitted: a
+    grid theta within ``log_theta_bounds`` whose weights keep the
+    interpolation identity at the training designs while the next lower
+    one's do not (``kriging.fit_indicator_theta``); the smallest passing
+    one under a nugget, while with a zero nugget a lower one may pass.
     """
 
     energy_threshold: float = 0.99
@@ -121,27 +121,25 @@ class TrainOptions:
     nugget: float = DEFAULT_NUGGET
     log_theta_bounds: tuple = DEFAULT_LOG_THETA_BOUNDS
     restarts: int = 8
-    weight_theta: float = None
 
     def __post_init__(self):
-        reals = {"energy_threshold": self.energy_threshold}
-        if self.weight_theta is not None:
-            reals["weight_theta"] = self.weight_theta
-        for name, value in reals.items():
-            if not _is_real(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if self.num_modes is None and not 0.0 < self.energy_threshold <= 1.0:
-            raise ValueError("energy_threshold must lie in (0, 1]")
+        threshold = self.energy_threshold
+        if not _is_real(threshold):
+            raise ValueError(f"energy_threshold must be a number, got {threshold!r}")
+        if self.num_modes is None and not 0.0 < threshold <= 1.0:
+            raise ValueError(f"energy_threshold must lie in (0, 1], got {threshold!r}")
         if self.num_modes is not None:
             if isinstance(self.num_modes, bool) or not isinstance(self.num_modes, numbers.Integral):
                 raise ValueError(f"num_modes must be an integer, got {self.num_modes!r}")
             if self.num_modes < 1:
-                raise ValueError("num_modes must be at least 1")
-        if self.weight_theta is not None and not 0.0 < self.weight_theta < np.inf:
-            raise ValueError("weight_theta must be positive and finite")
+                raise ValueError(f"num_modes must be at least 1, got {self.num_modes!r}")
+        if not isinstance(self.centering, (bool, np.bool_)):
+            raise ValueError(f"centering must be a boolean, got {self.centering!r}")
+        if not (self.ranges is None or isinstance(self.ranges, DesignRanges)):
+            raise ValueError(f"ranges must be a DesignRanges or None, got {self.ranges!r}")
         self.fit_options  # raises ValueError on bad kriging options
 
-    @property
+    @cached_property
     def fit_options(self) -> FitOptions:
         return FitOptions(self.nugget, self.log_theta_bounds, self.restarts)
 
@@ -173,14 +171,14 @@ class EmulatorModel:
     model and its saved-and-loaded copy predict alike: ``rank`` (K); each
     mode's GLS means ``coeff_mu`` (K, m), variances ``coeff_sigma2`` (K, m)
     and weights ``coeff_alpha[k, q] = R^-1 (y - mu)`` (K, m, n), all from
-    the one fit of the mode's coefficients under its one factor; the
-    isotropic ``weight_params``; and the indicator and mean-field weights on
-    the unit-cube design. One ``OrdinaryKriging`` per length-scale (weights,
-    mean, each mode) factorizes each of these GPs, all on one array of
-    squared design differences. The stored and derived arrays are read-only
-    and ``options_record`` is a read-only mapping, so no field can change
-    under the state derived from it; a changed model is a new one
-    (``dataclasses.replace``).
+    the one fit of the mode's coefficients under its one factor; and the
+    indicator weights, under ``weight_theta`` in every dimension, and the
+    mean-field weights on the unit-cube design. One ``OrdinaryKriging`` per
+    length-scale (weights, mean, each mode) factorizes each of these GPs,
+    all on one array of squared design differences. The stored and derived
+    arrays are read-only and ``options_record`` is a read-only mapping, so
+    no field can change under the state derived from it; a changed model is
+    a new one (``dataclasses.replace``).
     """
 
     design: np.ndarray        # (n, d) physical design points
@@ -213,9 +211,8 @@ class EmulatorModel:
         unit = self.ranges.normalize(self.design)
         diffs = _sq_diffs(unit)
         nugget = self.options_record["nugget"]
-        weight_params = CorrelationParams.isotropic(
-            self.options_record["weight_theta"], self.dims, nugget)
-        fits = [OrdinaryKriging(unit, CorrelationParams(th, nugget), diffs).fit(y)
+        weight_theta = np.full(self.dims, float(self.options_record["weight_theta"]))
+        fits = [OrdinaryKriging(unit, th, nugget, diffs).fit(y)
                 for th, y in zip(self.coeff_theta, self.coefficients, strict=True)]
         derived = map(np.stack, zip(*fits))
         for name, arr in zip(("coeff_mu", "coeff_sigma2", "coeff_alpha"), derived):
@@ -223,15 +220,13 @@ class EmulatorModel:
             object.__setattr__(self, name, arr)
         # every length-scale a query correlates under, one row each: the
         # weights', the mean field's when it is kriged, then each mode's
-        thetas = [weight_params.theta]
+        thetas = [weight_theta]
         mean_kriging = None
         if self.mean_theta is not None:
-            mean_kriging = OrdinaryKriging(
-                unit, CorrelationParams(self.mean_theta, MEAN_WEIGHT_NUGGET), diffs)
+            mean_kriging = OrdinaryKriging(unit, self.mean_theta, MEAN_WEIGHT_NUGGET, diffs)
             thetas.append(self.mean_theta)
-        object.__setattr__(self, "weight_params", weight_params)
         object.__setattr__(self, "_design_unit", unit)
-        object.__setattr__(self, "_indicator", OrdinaryKriging(unit, weight_params, diffs))
+        object.__setattr__(self, "_indicator", OrdinaryKriging(unit, weight_theta, nugget, diffs))
         object.__setattr__(self, "_mean_kriging", mean_kriging)
         object.__setattr__(self, "_query_theta", np.vstack([*thetas, self.coeff_theta]))
 
@@ -325,6 +320,9 @@ def train(cases, options: TrainOptions = None) -> EmulatorModel:
     design = np.vstack([c.design for c in cases])
     if np.unique(design, axis=0).shape[0] != design.shape[0]:
         raise ValueError("training designs must be distinct")
+    if options.ranges is not None and options.ranges.dims != design.shape[1]:
+        raise ValueError(f"ranges has {options.ranges.dims} dims, the training "
+                         f"designs {design.shape[1]}")
 
     t0 = time.perf_counter()
     bases = [decompose(c, centering=options.centering) for c in cases]
@@ -365,14 +363,8 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         _log.info("train: mode %d length-scales %s in %.1f ms",
                   k, theta[k], _ms_since(t0))
     t0 = time.perf_counter()
-    theta_w = options.weight_theta
-    if theta_w is None:
-        theta_w = fit_indicator_theta(
-            unit, options.nugget, options.log_theta_bounds
-        )
-    _log.info("train: weight theta %.6g (%s) in %.1f ms", theta_w,
-              "given" if options.weight_theta is not None else "fitted",
-              _ms_since(t0))
+    theta_w = fit_indicator_theta(unit, options.fit_options)
+    _log.info("train: weight theta %.6g in %.1f ms", theta_w, _ms_since(t0))
 
     mean_theta = None
     if options.centering:
@@ -391,7 +383,7 @@ def _assemble(design, bases, ref_case: SnapshotSet,
         "nugget": options.nugget,
         "log_theta_bounds": tuple(options.log_theta_bounds),
         "restarts": options.restarts,
-        "weight_theta": float(theta_w),
+        "weight_theta": theta_w,
     }
     t0 = time.perf_counter()
     model = EmulatorModel(
@@ -566,9 +558,10 @@ def save_model(model: EmulatorModel, path) -> None:
 
 def load_model(path) -> EmulatorModel:
     """Read a KSEM2 or KSEM1 file; one whose header word 8 is not 1, whose
-    (K, m, d) length-scales differ across a mode's time-steps, or whose
+    (K, m, d) length-scales differ across a mode's time-steps, whose
     mean-field length-scales are not positive and finite (or belong to an
-    uncentered model) raises ValueError, and a non-finite value
+    uncentered model), or whose length-scales or nugget the model's kriging
+    refuses raises ValueError naming the file, and a non-finite value
     NonFiniteDataError. The stored coefficient means and variances are
     checked, not kept: the model derives them as ``train``'s does."""
     with open(path, "rb") as fh:
@@ -605,16 +598,9 @@ def load_model(path) -> EmulatorModel:
         mean_theta = r.f64(d) if kriged_mean else None
         r.finish()
 
-    ranges = DesignRanges(lower, upper)
     for arr in (grid, times, design, theta, mu_sigma2, library, eigenvalues, case_coeffs):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteDataError(f"{path}: payload contains non-finite values")
-    if np.any(theta <= 0.0) or not 0.0 < weight_theta < np.inf \
-            or not 0.0 <= nugget < np.inf:
-        raise ValueError(
-            f"{path}: coefficient and weight length-scales must be positive "
-            "and finite, and the nugget finite and nonnegative"
-        )
     if np.any(theta != theta[:, :1]):
         raise ValueError(f"{path}: a mode's length-scales differ across its time-steps")
     if kriged_mean and not (centering and np.all(mean_theta > 0.0)
@@ -632,16 +618,19 @@ def load_model(path) -> EmulatorModel:
         "restarts": int(restarts),
         "weight_theta": float(weight_theta),
     }
-    return EmulatorModel(
-        design=design,
-        ranges=ranges,
-        library=library,
-        eigenvalues=eigenvalues,
-        coefficients=np.ascontiguousarray(case_coeffs.transpose(1, 2, 0)),
-        coeff_theta=theta[:, 0].copy(),
-        grid=grid,
-        times=times,
-        centering=centering,
-        options_record=record,
-        mean_theta=mean_theta,
-    )
+    try:
+        return EmulatorModel(
+            design=design,
+            ranges=DesignRanges(lower, upper),
+            library=library,
+            eigenvalues=eigenvalues,
+            coefficients=np.ascontiguousarray(case_coeffs.transpose(1, 2, 0)),
+            coeff_theta=theta[:, 0].copy(),
+            grid=grid,
+            times=times,
+            centering=centering,
+            options_record=record,
+            mean_theta=mean_theta,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

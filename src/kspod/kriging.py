@@ -16,6 +16,8 @@ one shared isotropic parameter they are the indicator weights that blend
 cases; the parameter is a grid value whose weights keep interpolating
 while its lower neighbour's do not. Under a fitted anisotropic parameter
 they krige a whole block of datasets, such as the emulator's case means.
+Each value is checked once, where it enters: ``FitOptions`` checks the
+search's options, and ``OrdinaryKriging`` its own length-scales and nugget.
 """
 
 import bisect
@@ -27,11 +29,9 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from ._frozen import reduce_by_constructor
 from .errors import FitError, IllConditionedError
 
 __all__ = [
-    "CorrelationParams",
     "FitOptions",
     "OrdinaryKriging",
     "fit_indicator_theta",
@@ -52,39 +52,17 @@ _START_TABLE = np.random.default_rng(20240311).uniform(size=(32, 16))
 _log = logging.getLogger("kspod")
 
 
-@dataclass(frozen=True)
-class CorrelationParams:
-    """Squared-exponential parameters: per-dimension theta plus a nugget.
-
-    The correlation of two points is exp(-sum_k theta_k * dx_k^2); the
-    nugget inflates the correlation-matrix diagonal for conditioning.
-    """
-
-    theta: np.ndarray
-    nugget: float = DEFAULT_NUGGET
-
-    def __post_init__(self):
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        if theta.ndim != 1 or theta.size < 1:
-            raise ValueError("theta must be a nonempty vector")
-        if not (np.isfinite(theta).all() and (theta > 0.0).all()):
-            raise ValueError("theta entries must be positive and finite")
-        if not np.isfinite(self.nugget) or self.nugget < 0.0:
-            raise ValueError("nugget must be nonnegative")
-        theta.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-
-    __reduce__ = reduce_by_constructor
-
-    @classmethod
-    def isotropic(cls, theta: float, dims: int,
-                  nugget: float = DEFAULT_NUGGET) -> "CorrelationParams":
-        return cls(np.full(dims, float(theta)), nugget)
-
-
 def _is_real(value) -> bool:
     """A real number, numpy ones included, booleans not."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_nugget(nugget) -> None:
+    """The one nugget rule, of FitOptions and OrdinaryKriging alike."""
+    if not _is_real(nugget):
+        raise ValueError(f"nugget must be a number, got {nugget!r}")
+    if not (np.isfinite(nugget) and nugget >= 0.0):
+        raise ValueError(f"nugget must be finite and nonnegative, got {nugget!r}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +72,7 @@ class FitOptions:
     restarts: int = 8
 
     def __post_init__(self):
-        if not _is_real(self.nugget):
-            raise ValueError(f"nugget must be a number, got {self.nugget!r}")
-        if not (np.isfinite(self.nugget) and self.nugget >= 0.0):
-            raise ValueError("nugget must be finite and nonnegative")
+        _check_nugget(self.nugget)
         try:
             lo, hi = self.log_theta_bounds
         except (TypeError, ValueError):  # not two entries
@@ -106,11 +81,12 @@ class FitOptions:
             raise ValueError(
                 f"log_theta_bounds must be two numbers, got {self.log_theta_bounds!r}")
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError("log_theta_bounds must be finite with lower < upper")
+            raise ValueError("log_theta_bounds must be finite with lower < upper, "
+                             f"got {self.log_theta_bounds!r}")
         if isinstance(self.restarts, bool) or not isinstance(self.restarts, numbers.Integral):
             raise ValueError(f"restarts must be an integer, got {self.restarts!r}")
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+            raise ValueError(f"restarts must be at least 1, got {self.restarts!r}")
 
 
 def _sq_diffs(x_pts: np.ndarray) -> np.ndarray:
@@ -301,7 +277,7 @@ def _search_theta(x_pts, y, options: FitOptions = None, starts=None):
     if best_f == np.inf:
         # a singular correlation matrix (duplicate rows, no nugget) makes
         # the likelihood undefined everywhere; report it as such
-        OrdinaryKriging(x_pts, CorrelationParams(np.ones(d), options.nugget), diffs)
+        OrdinaryKriging(x_pts, np.ones(d), options.nugget, diffs)
         raise FitError(
             "likelihood not finite anywhere in the search box",
             best_theta=np.exp(best_x),
@@ -318,22 +294,29 @@ def _search_theta(x_pts, y, options: FitOptions = None, starts=None):
 
 
 class OrdinaryKriging:
-    """Ordinary kriging on inputs (n, d) under one correlation parameter
-    with a (d,) theta: fits and weights share one Cholesky factor of
-    R(theta) + nugget I. ``diffs``, the (n, n, d) squared differences of
-    ``x_pts`` (see _sq_diffs), lets objects on the same inputs share them.
-    Non-finite inputs or a mis-sized theta raise ValueError, and an R that
-    is not positive definite raises IllConditionedError."""
+    """Ordinary kriging on inputs (n, d) under length-scales ``theta`` (d,),
+    correlation exp(-sum_k theta_k dx_k^2), and a ``nugget``: fits and
+    weights share one Cholesky factor of R(theta) + nugget I. ``diffs``, the
+    (n, n, d) squared differences of ``x_pts`` (see _sq_diffs), lets objects
+    on the same inputs share them. Non-finite inputs, a theta that is not a
+    (d,) vector of positive finite entries or a nugget that is not a finite
+    nonnegative number raise ValueError, and an R that is not positive
+    definite raises IllConditionedError."""
 
-    def __init__(self, x_pts, params: CorrelationParams, diffs=None):
+    def __init__(self, x_pts, theta, nugget=DEFAULT_NUGGET, diffs=None):
         self.x_pts = _checked(x_pts)[0]
         d = self.x_pts.shape[1]
-        self.theta = params.theta
-        if self.theta.shape != (d,):
-            raise ValueError(f"theta must be a ({d},) vector, got shape {self.theta.shape}")
+        theta = np.array(theta, dtype=float, ndmin=1)
+        if theta.shape != (d,):
+            raise ValueError(f"theta must be a ({d},) vector, got shape {theta.shape}")
+        if not (np.isfinite(theta).all() and (theta > 0.0).all()):
+            raise ValueError("theta entries must be positive and finite")
+        _check_nugget(nugget)
+        theta.flags.writeable = False
+        self.theta = theta
         if diffs is None:
             diffs = _sq_diffs(self.x_pts)
-        self._factor = _cholesky(diffs, self.theta, params.nugget)
+        self._factor = _cholesky(diffs, theta, nugget)
         if self._factor is None:
             raise IllConditionedError("correlation matrix is not positive definite; "
                                       "distinct inputs or a nugget are required")
@@ -380,11 +363,11 @@ class OrdinaryKriging:
         return (1.0 - solve.sum(axis=-1))[..., None] * self._mu + solve
 
 
-def fit_indicator_theta(x_pts, nugget: float = DEFAULT_NUGGET,
-                        log_theta_bounds: tuple = DEFAULT_LOG_THETA_BOUNDS) -> float:
+def fit_indicator_theta(x_pts, options: FitOptions = None) -> float:
     """Shared isotropic theta for indicator kriging: the smallest candidate,
-    stepping IDENTITY_LOG_STEP up from the lower log bound to the upper one,
-    whose weights reproduce the unit vectors at the inputs to IDENTITY_TOL.
+    stepping IDENTITY_LOG_STEP up from the lower ``options.log_theta_bounds``
+    to the upper one, whose weights under ``options.nugget`` reproduce the
+    unit vectors at the inputs to IDENTITY_TOL.
 
     A conditioning rule, not a fit: smaller theta blends more locally, but
     the residual w(x_j) - e_j (-nugget times column j of the inverse bordered
@@ -394,9 +377,10 @@ def fit_indicator_theta(x_pts, nugget: float = DEFAULT_NUGGET,
     failed factorization misses. If even the upper bound misses, it is
     returned. Logs one DEBUG record on the "kspod" logger.
     """
+    options = FitOptions() if options is None else options
     x_pts = _checked(x_pts)[0]
     n, d = x_pts.shape
-    lo, hi = log_theta_bounds
+    lo, hi = options.log_theta_bounds
     count = np.ceil((hi - lo) / IDENTITY_LOG_STEP - 1e-9)
     grid = np.append(lo + IDENTITY_LOG_STEP * np.arange(count), hi)
     diffs = _sq_diffs(x_pts)  # one array for every candidate
@@ -404,8 +388,8 @@ def fit_indicator_theta(x_pts, nugget: float = DEFAULT_NUGGET,
 
     def passes(k):
         try:
-            params = CorrelationParams.isotropic(np.exp(grid[k]), d, nugget)
-            weights = OrdinaryKriging(x_pts, params, diffs).weights(x_pts)
+            weights = OrdinaryKriging(x_pts, np.full(d, np.exp(grid[k])), options.nugget,
+                                      diffs).weights(x_pts)
             resids[k] = np.abs(weights - np.eye(n)).max()
         except IllConditionedError:
             resids[k] = np.inf

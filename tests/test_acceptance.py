@@ -15,7 +15,8 @@ from scipy.integrate import trapezoid
 import kspod
 import kspod.cli as cli
 from kspod.errors import UndefinedBaselineError
-from kspod.kriging import CorrelationParams, OrdinaryKriging, fit_indicator_theta, fit_theta
+from kspod.kriging import (DEFAULT_NUGGET, FitOptions, OrdinaryKriging, fit_indicator_theta,
+                           fit_theta)
 from kspod.metrics import dominant_frequency, film_thickness_profile, kde, relative_error, spreading_angle
 from kspod.pod import decompose, reconstruct, truncate
 from kspod.snapshots import SnapshotSet, read_dataset, write_dataset
@@ -98,14 +99,15 @@ def test_criterion_02_pod_energy():
 
 def _kriged(x_pts, y):
     """The emulator's coefficient path for one dataset: fit_theta, then
-    OrdinaryKriging(...).fit. Returns the parameters and the conditional mean
-    mu + r . alpha at a query (d,) or a block (q, d)."""
-    params = CorrelationParams(fit_theta(x_pts, y))
-    mu, _, alpha = OrdinaryKriging(x_pts, params).fit(y)
+    OrdinaryKriging(...).fit, both at the default nugget. Returns the
+    length-scales and the conditional mean mu + r . alpha at a query (d,) or
+    a block (q, d)."""
+    theta = fit_theta(x_pts, y)
+    mu, _, alpha = OrdinaryKriging(x_pts, theta).fit(y)
 
     def predict(x_new):
-        return mu + np.exp(-((x_pts - x_new[..., None, :]) ** 2) @ params.theta) @ alpha
-    return params, predict
+        return mu + np.exp(-((x_pts - x_new[..., None, :]) ** 2) @ theta) @ alpha
+    return theta, predict
 
 
 def test_criterion_03_kriging_interpolation():
@@ -114,14 +116,14 @@ def test_criterion_03_kriging_interpolation():
     # dimension): with a 1e-8 nugget, near-coincident inputs cannot be
     # interpolated to 1e-6 by any length scale inside the search box.
     rng = np.random.default_rng(1003)
+    assert DEFAULT_NUGGET == FitOptions().nugget == 1e-8
     worst = 0.0
     for trial in range(100):
         n = int(rng.integers(2, 31))
         d = int(rng.integers(1, 5))
         x_pts = kspod.generate_slhd(1, n, d, seed=trial).points
         y = rng.normal(size=n)
-        params, predict = _kriged(x_pts, y)
-        assert params.nugget == 1e-8
+        _, predict = _kriged(x_pts, y)
         tol = 1e-6 * np.ptp(y)
         errs = np.abs(predict(x_pts) - y)
         worst = max(worst, float(errs.max() / np.ptp(y)))
@@ -135,8 +137,8 @@ def test_criterion_04_predictor_matches_dense_solve():
     for n in (3, 10, 25, 50):
         x_pts = rng.uniform(size=(n, 3))
         y = rng.normal(size=n)
-        params, predict = _kriged(x_pts, y)
-        theta, nugget = params.theta, params.nugget
+        theta, predict = _kriged(x_pts, y)
+        nugget = DEFAULT_NUGGET
         diffs = (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
         rinv = np.linalg.inv(np.exp(-diffs @ theta) + nugget * np.eye(n))
         ones = np.ones(n)
@@ -154,7 +156,7 @@ def test_criterion_05_indicator_weight_identities():
     design = kspod.generate_slhd(5, 6, 3, seed=0)
     x_pts = design.points
     theta_w = fit_indicator_theta(x_pts)
-    weights = OrdinaryKriging(x_pts, CorrelationParams.isotropic(theta_w, 3)).weights
+    weights = OrdinaryKriging(x_pts, np.full(3, theta_w)).weights
 
     for j in range(x_pts.shape[0]):
         w = weights(x_pts[j])
@@ -174,7 +176,7 @@ def test_criterion_05_indicator_weight_identities():
     # is the smallest that keeps the identity above (about 8.2 here), and
     # the extrapolative probes below use a fixed moderate theta for the
     # no-clamping property
-    moderate = OrdinaryKriging(x_pts, CorrelationParams.isotropic(5.0, 3)).weights
+    moderate = OrdinaryKriging(x_pts, np.full(3, 5.0)).weights
     negatives = 0
     for probe in rng.uniform(1.0, 1.3, size=(20, 3)):
         w = moderate(probe)
@@ -188,7 +190,7 @@ def test_criterion_05_indicator_weight_identities():
 
 def test_criterion_06_gaussian_kernel_limit():
     corners = np.array([[float(b) for b in f"{i:03b}"] for i in range(8)])
-    weights = OrdinaryKriging(corners, CorrelationParams.isotropic(50.0, 3)).weights
+    weights = OrdinaryKriging(corners, np.full(3, 50.0)).weights
     worst = 0.0
     checked = 0
     for j in range(8):

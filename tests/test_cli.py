@@ -275,11 +275,17 @@ class TestPipeline:
         assert code == 0
         assert (work / "model.ksem").is_file()
 
+    # every refused config value is a configuration error (exit 2) whose
+    # message names its key and value, and nothing is written, not even
+    # the workdir
     @pytest.mark.parametrize("threshold", [0, 1.5])
-    def test_energy_threshold_out_of_range(self, tmp_path, threshold):
+    def test_energy_threshold_out_of_range(self, tmp_path, capsys, threshold):
         cfg = small_config(tmp_path, pod={"energy_threshold": threshold})
-        assert cli.main(["pipeline", "--config", str(cfg)]) == 1
-        assert not (tmp_path / "model.ksem").exists()
+        work = tmp_path / "work"
+        assert cli.main(["pipeline", "--config", str(cfg), "--workdir", str(work)]) == 2
+        assert f"pod.energy_threshold must lie in (0, 1], got {threshold!r}" \
+            in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("section, key", [("pod", "num_modes"),
                                               ("kriging", "restarts")])
@@ -288,8 +294,9 @@ class TestPipeline:
         # a boolean is not a count either (true once trained a 1-mode model)
         for value in (2.5, True):
             cfg = small_config(tmp_path, **{section: {key: value}})
-            assert cli.main(["pipeline", "--config", str(cfg)]) == 1
-            assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+            assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+            assert f"{section}.{key} must be an integer, got {value!r}" \
+                in capsys.readouterr().err
             assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("section, value, message", [
@@ -301,14 +308,18 @@ class TestPipeline:
         ("pod", {"energy_threshold": True}, "pod.energy_threshold must be a number, got True"),
         ("kriging", {"nugget": True}, "kriging.nugget must be a number, got True"),
         ("kriging", {"nugget": None}, "kriging.nugget must be a number, got None"),
-        ("kriging", {"weight_theta": True}, "kriging.weight_theta must be a number, got True"),
-        ("kriging", {"weight_theta": "5"}, "kriging.weight_theta must be a number, got '5'"),
+        ("pod", {"centering": 1}, "pod.centering must be a boolean, got 1"),
+        ("pod", {"num_modes": 0}, "pod.num_modes must be at least 1, got 0"),
         ("kriging", {"log_theta_bounds": [-6.0, True]},
          "kriging.log_theta_bounds must be two numbers, got [-6.0, True]"),
         ("kriging", {"log_theta_bounds": ["-6", 6.0]},
          "kriging.log_theta_bounds must be two numbers, got ['-6', 6.0]"),
         ("kriging", {"log_theta_bounds": [-6.0]},
          "kriging.log_theta_bounds must be two numbers, got [-6.0]"),
+        ("kriging", {"restarts": 0}, "kriging.restarts must be at least 1, got 0"),
+        ("kriging", {"nugget": -1e-3}, "kriging.nugget must be finite and nonnegative, got -0.001"),
+        ("kriging", {"log_theta_bounds": [3.0, -3.0]},
+         "kriging.log_theta_bounds must be finite with lower < upper, got [3.0, -3.0]"),
     ])
     def test_mistyped_option_rejected_before_synthesis(self, tmp_path, capsys,
                                                      section, value, message):
@@ -345,10 +356,20 @@ class TestPipeline:
         path.write_text(json.dumps({"seeed": 1}), encoding="utf-8")
         assert cli.main(["pipeline", "--config", str(path)]) == 2
 
-    def test_removed_theta_mode_key(self, tmp_path):
-        # the coefficient length-scale is always shared per mode; the key
-        # that once chose it is now unknown
-        cfg = small_config(tmp_path, kriging={"coeff_theta_mode": "shared"})
-        assert cli.main(["pipeline", "--config", str(cfg)]) == 2
-        assert not (tmp_path / "model.ksem").exists()
+    def test_removed_theta_mode_key(self, tmp_path, capsys):
+        # the coefficient length-scale is always shared per mode, and the
+        # indicator-weight parameter always fitted; the keys that once chose
+        # them are now unknown
+        for key, value in (("coeff_theta_mode", "shared"), ("weight_theta", 5.0)):
+            cfg = small_config(tmp_path, kriging={key: value})
+            assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_readme_config_is_the_defaults(self):
+        # the README's example config lists every key, each at its default,
+        # so a removed key cannot leave the example refused as unknown
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == cli._CONFIG_DEFAULTS
 

@@ -25,7 +25,7 @@ from kspod.emulator import (
     weight_vector,
 )
 from kspod.errors import IncompatibleCasesError, NonFiniteDataError
-from kspod.kriging import CorrelationParams, FitOptions, OrdinaryKriging, fit_theta
+from kspod.kriging import FitOptions, OrdinaryKriging, fit_theta
 from kspod.pod import PODBasis, decompose, reconstruct, truncate
 from kspod.snapshots import SnapshotSet, read_dataset, write_dataset
 from test_kriging import dense_predict
@@ -97,8 +97,8 @@ def composed_field(model, x, indices=None):
     if model.centering:
         if model.mean_theta is not None:
             unit = model.ranges.normalize(model.design)
-            mean_weights = OrdinaryKriging(unit, CorrelationParams(
-                model.mean_theta, MEAN_WEIGHT_NUGGET)).weights(model.ranges.normalize(x))
+            mean_weights = OrdinaryKriging(unit, model.mean_theta, MEAN_WEIGHT_NUGGET).weights(
+                model.ranges.normalize(x))
             rows[model.rank] = mean_weights @ model.library[:, model.rank]
         beta = np.vstack((beta, np.ones(beta.shape[1])))
     return rows.T @ beta
@@ -201,7 +201,7 @@ class TestTrain:
             assert rec.args[0] == k
             assert np.array_equal(rec.args[1], model.coeff_theta[k])
         assert fixed.args[0] == model.coeff_mu.size
-        assert weight.args[:2] == (model.options_record["weight_theta"], "fitted")
+        assert weight.args[0] == model.options_record["weight_theta"]
         # the mean stage: its length-scales, the mean weights' identity
         # residual at the training designs, the largest relative miss of the
         # mean rows they blend there, and the distinct length-scales its one
@@ -462,8 +462,8 @@ class TestPrediction:
         if model.centering:
             # the mean field takes the ordinary-kriging weights under mean_theta
             unit = model.ranges.normalize(model.design)
-            mean_weights = OrdinaryKriging(unit, CorrelationParams(
-                model.mean_theta, MEAN_WEIGHT_NUGGET)).weights(model.ranges.normalize(x))
+            mean_weights = OrdinaryKriging(unit, model.mean_theta, MEAN_WEIGHT_NUGGET).weights(
+                model.ranges.normalize(x))
             expected += (mean_weights @ model.library[:, -1])[:, None]
         fld = predict_field(model, x, indices)
         count = model.num_snapshots if indices is None else len(indices)
@@ -582,14 +582,7 @@ class TestOptions:
         pred = predict_field(model, case.design)
         assert np.linalg.norm(pred - target) / np.linalg.norm(target) < 1e-5
 
-    def test_weight_theta_override(self, small_cases, desk_setup):
-        options = TrainOptions(ranges=desk_setup["ranges"], num_modes=1,
-                               weight_theta=5.0)
-        model = train(small_cases, options)
-        assert np.allclose(model.weight_params.theta, 5.0)
-        assert model.options_record["weight_theta"] == 5.0
-
-    def test_bad_options_rejected(self):
+    def test_bad_options_rejected(self, small_cases, monkeypatch):
         with pytest.raises(ValueError):
             TrainOptions(energy_threshold=1.5)
         with pytest.raises(ValueError):
@@ -598,17 +591,26 @@ class TestOptions:
             TrainOptions(num_modes=2.5)
         assert TrainOptions(num_modes=np.int64(2)).num_modes == 2
         assert FitOptions(restarts=np.int32(3)).restarts == 3
-        for bad in (-1.0, np.nan):
-            with pytest.raises(ValueError):
-                TrainOptions(weight_theta=bad)
         # a boolean or a string is not a number, and the error names the field
-        for name in ("energy_threshold", "nugget", "weight_theta"):
+        for name in ("energy_threshold", "nugget"):
             for bad in (True, np.True_, "2", None):
-                if name == "weight_theta" and bad is None:
-                    continue  # the default: fitted
                 with pytest.raises(ValueError, match=f"{name} must be a number"):
                     TrainOptions(**{name: bad})
-        assert TrainOptions(weight_theta=np.float32(2.0), nugget=0).weight_theta == 2.0
+        assert TrainOptions(energy_threshold=np.float32(0.5), nugget=0).energy_threshold == 0.5
+        # centering is a boolean; a string or a count once failed in train
+        # after every case was decomposed
+        for bad in ("false", None, 1):
+            with pytest.raises(ValueError, match=f"centering must be a boolean, got {bad!r}"):
+                TrainOptions(centering=bad)
+        assert not TrainOptions(centering=np.False_).centering
+        # ranges is a DesignRanges of the designs' dimension, refused before
+        # any case is decomposed
+        with pytest.raises(ValueError, match="ranges must be a DesignRanges or None"):
+            TrainOptions(ranges=[[0, 1]] * 3)
+        monkeypatch.setattr(kspod.emulator, "decompose",
+                            lambda *args, **kwargs: pytest.fail("decomposed"))
+        with pytest.raises(ValueError, match="ranges has 2 dims, the training designs 3"):
+            train(small_cases, TrainOptions(ranges=kspod.DesignRanges([0, 0], [1, 1])))
         for bad in ({"restarts": 0}, {"restarts": 2.5}, {"nugget": -1e-3},
                     {"log_theta_bounds": (3.0, -3.0)}):
             with pytest.raises(ValueError):
@@ -736,7 +738,7 @@ class TestSerialization:
             pred = predict_field(model, probe)
             assert not np.array_equal(pred, base)
             assert np.array_equal(pred, predict_field(load_model(path), probe))
-        for derived in ("rank", "weight_params", "coeff_mu", "coeff_sigma2", "coeff_alpha"):
+        for derived in ("rank", "coeff_mu", "coeff_sigma2", "coeff_alpha"):
             with pytest.raises(TypeError):
                 dataclasses.replace(small_model, **{derived: getattr(small_model, derived)})
         # one length-scale vector per mode, for every mode

@@ -13,7 +13,6 @@ from kspod.errors import IllConditionedError
 from kspod.kriging import (
     DEFAULT_LOG_THETA_BOUNDS,
     DEFAULT_NUGGET,
-    CorrelationParams,
     FitOptions,
     OrdinaryKriging,
     fit_indicator_theta,
@@ -23,21 +22,22 @@ from kspod.kriging import (
 )
 
 
-def predictor(x_pts, y, params):
+def predictor(x_pts, y, theta, nugget=DEFAULT_NUGGET):
     """The conditional mean mu + r . alpha of OrdinaryKriging's fit of y, at a
     query (d,) or a block (q, d), as the emulator predicts its coefficients."""
-    mu, _, alpha = OrdinaryKriging(x_pts, params).fit(y)
+    mu, _, alpha = OrdinaryKriging(x_pts, theta, nugget).fit(y)
 
     def predict(x_new):
         x_new = np.asarray(x_new, dtype=float)
-        return mu + np.exp(-((x_pts - x_new[..., None, :]) ** 2) @ params.theta) @ alpha
+        return mu + np.exp(-((x_pts - x_new[..., None, :]) ** 2) @ theta) @ alpha
     return predict
 
 
 def fitted(x_pts, y, options=FitOptions()):
-    """fit_theta's parameters for y and their predictor."""
-    params = CorrelationParams(fit_theta(x_pts, y, options), options.nugget)
-    return params, predictor(x_pts, y, params)
+    """fit_theta's length-scales for y and their predictor under
+    ``options.nugget``."""
+    theta = fit_theta(x_pts, y, options)
+    return theta, predictor(x_pts, y, theta, options.nugget)
 
 
 def dense_predict(x_pts, y, theta, nugget, x_new):
@@ -124,30 +124,30 @@ class TestFitAndPredict:
         x_pts = np.array([[0.0], [1.0]])
         y = np.array([0.0, 1.0])
         for theta in (0.3, 2.0, 25.0):
-            params = CorrelationParams(np.array([theta]), nugget=1e-8)
-            assert predictor(x_pts, y, params)([0.5]) == pytest.approx(0.5, abs=1e-10)
+            assert predictor(x_pts, y, np.array([theta]), nugget=1e-8)([0.5]) == \
+                pytest.approx(0.5, abs=1e-10)
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(3)
         for n in (5, 20, 50):
             x_pts = rng.uniform(size=(n, 3))
             y = rng.normal(size=n)
-            params, predict = fitted(x_pts, y)
+            theta, predict = fitted(x_pts, y)
             for probe in rng.uniform(-0.2, 1.2, size=(4, 3)):
-                oracle = dense_predict(x_pts, y, params.theta, params.nugget, probe)
+                oracle = dense_predict(x_pts, y, theta, DEFAULT_NUGGET, probe)
                 assert predict(probe) == pytest.approx(oracle, abs=1e-10)
 
     def test_optimizer_beats_random_probes(self):
         rng = np.random.default_rng(4)
         x_pts = rng.uniform(size=(12, 2))
         y = np.sin(3.0 * x_pts[:, 0]) + 0.5 * x_pts[:, 1] ** 2
-        params, _ = fitted(x_pts, y)
+        theta, _ = fitted(x_pts, y)
         diffs = (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
 
         def objective(log_theta):
-            return _profile_nll(diffs, _ones_block(y), params.nugget, log_theta)
+            return _profile_nll(diffs, _ones_block(y), DEFAULT_NUGGET, log_theta)
 
-        best = objective(np.log(params.theta))
+        best = objective(np.log(theta))
         probes = rng.uniform(-6.0, 6.0, size=(32, 2))
         assert all(objective(p) >= best - 1e-9 for p in probes)
 
@@ -205,13 +205,13 @@ class TestFitAndPredict:
         rng = np.random.default_rng(5)
         x_pts = rng.uniform(size=(10, 2))
         y = rng.normal(size=10)
-        params, _ = fitted(x_pts, y)
+        theta, _ = fitted(x_pts, y)
         diffs = (x_pts[:, None, :] - x_pts[None, :, :]) ** 2
-        rmat = np.exp(-diffs @ params.theta) + params.nugget * np.eye(10)
+        rmat = np.exp(-diffs @ theta) + DEFAULT_NUGGET * np.eye(10)
         rinv = np.linalg.inv(rmat)
         ones = np.ones(10)
         mu = (ones @ rinv @ y) / (ones @ rinv @ ones)
-        assert OrdinaryKriging(x_pts, params).fit(y)[0] == pytest.approx(mu, abs=1e-10)
+        assert OrdinaryKriging(x_pts, theta).fit(y)[0] == pytest.approx(mu, abs=1e-10)
 
 
 class TestCholeskyPath:
@@ -240,8 +240,9 @@ class TestCholeskyPath:
         # differences equal those of one that builds them
         rng = np.random.default_rng(20)
         x_pts = rng.uniform(size=(9, 2))
-        diffs, params = kriging._sq_diffs(x_pts), CorrelationParams(np.array([0.7, 2.0]))
-        shared, own = OrdinaryKriging(x_pts, params, diffs), OrdinaryKriging(x_pts, params)
+        diffs, theta = kriging._sq_diffs(x_pts), np.array([0.7, 2.0])
+        shared = OrdinaryKriging(x_pts, theta, diffs=diffs)
+        own = OrdinaryKriging(x_pts, theta)
         y = rng.normal(size=(3, 9))
         for a, b in zip(own.fit(y), shared.fit(y)):
             assert np.array_equal(a, b)
@@ -266,21 +267,34 @@ class TestCholeskyPath:
 
         monkeypatch.setattr(kriging, "_cholesky", counted("factor", kriging._cholesky))
         monkeypatch.setattr(kriging, "dtrtrs", counted("solve", kriging.dtrtrs))
-        params = CorrelationParams(theta)
-        mu, sigma2, alpha = OrdinaryKriging(x_pts, params).fit(y)
+        mu, sigma2, alpha = OrdinaryKriging(x_pts, theta).fit(y)
         assert calls == {"factor": 1, "solve": 2}
         assert mu.shape == sigma2.shape == (2, 3) and alpha.shape == y.shape
         for i in np.ndindex(2, 3):
-            one = OrdinaryKriging(x_pts, params).fit(y[i])
+            one = OrdinaryKriging(x_pts, theta).fit(y[i])
             assert all(np.array_equal(a, b[i]) for a, b in zip(one, (mu, sigma2, alpha)))
 
     def test_one_theta_only(self):
         # every dataset of a fit shares one length-scale vector of the
-        # inputs' dimension
+        # inputs' dimension, of positive finite entries, under one finite
+        # nonnegative nugget; the constructor refuses anything else
         rng = np.random.default_rng(18)
         x_pts = rng.uniform(size=(6, 2))
-        with pytest.raises(ValueError, match="theta must be a \\(2,\\) vector"):
-            OrdinaryKriging(x_pts, CorrelationParams(np.ones(3))).fit(rng.normal(size=(3, 6)))
+        for bad in (np.ones(3), np.ones(1), np.ones((1, 2)), 1.0):
+            with pytest.raises(ValueError, match="theta must be a \\(2,\\) vector"):
+                OrdinaryKriging(x_pts, bad)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="theta entries must be positive and finite"):
+                OrdinaryKriging(x_pts, np.array([1.0, bad]))
+        for bad in (True, np.True_, "1e-8", None):
+            with pytest.raises(ValueError, match=f"nugget must be a number, got {bad!r}"):
+                OrdinaryKriging(x_pts, np.ones(2), bad)
+        for bad in (-1e-3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nugget must be finite and nonnegative"):
+                OrdinaryKriging(x_pts, np.ones(2), bad)
+        # numpy numbers and a zero nugget are accepted
+        OrdinaryKriging(x_pts, np.ones(2), np.float32(1e-8))
+        OrdinaryKriging(x_pts, [1, 2], 0)
 
     # the ids name the role: "fit_fixed" is the fit at a fixed theta and
     # "IndicatorKriging" the factor under an isotropic indicator parameter
@@ -289,10 +303,9 @@ class TestCholeskyPath:
         x_pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
         with pytest.raises(IllConditionedError):
             if factorize == "fit_fixed":
-                OrdinaryKriging(x_pts, CorrelationParams(np.ones(2), 0.0)).fit(
-                    np.array([1.0, 1.0, 2.0]))
+                OrdinaryKriging(x_pts, np.ones(2), 0.0).fit(np.array([1.0, 1.0, 2.0]))
             else:
-                OrdinaryKriging(x_pts, CorrelationParams.isotropic(1.0, 2, nugget=0.0))
+                OrdinaryKriging(x_pts, np.full(2, 1.0), nugget=0.0)
 
     def test_one_factor_serves_fits_and_weights(self, monkeypatch):
         # the object factorizes once; its fits and weights reuse the factor,
@@ -304,7 +317,7 @@ class TestCholeskyPath:
         real = kriging._cholesky
         monkeypatch.setattr(kriging, "_cholesky",
                             lambda *args: calls.append(1) or real(*args))
-        gp = OrdinaryKriging(x_pts, CorrelationParams(np.array([1.5, 0.4])))
+        gp = OrdinaryKriging(x_pts, np.array([1.5, 0.4]))
         y = rng.normal(size=8)
         mu, _, alpha = gp.fit(y)
         gp.fit(rng.normal(size=(2, 8)))
@@ -319,9 +332,9 @@ def _call_entry(entry, x_pts, y):
     if entry == "fit_theta":
         fit_theta(x_pts, y, FitOptions(restarts=1))
     elif entry == "fit_fixed":
-        OrdinaryKriging(x_pts, CorrelationParams(np.ones(x_pts.shape[1]))).fit(y)
+        OrdinaryKriging(x_pts, np.ones(x_pts.shape[1])).fit(y)
     else:
-        OrdinaryKriging(x_pts, CorrelationParams.isotropic(1.0, x_pts.shape[1]))
+        OrdinaryKriging(x_pts, np.full(x_pts.shape[1], 1.0))
 
 
 @pytest.mark.parametrize("entry, bad", [
@@ -531,7 +544,7 @@ class TestIndicatorWeights:
     def test_unit_vectors_at_training_points(self):
         rng = np.random.default_rng(6)
         x_pts = rng.uniform(size=(9, 3))
-        weights = OrdinaryKriging(x_pts, CorrelationParams.isotropic(8.0, 3)).weights
+        weights = OrdinaryKriging(x_pts, np.full(3, 8.0)).weights
         for j in range(9):
             w = weights(x_pts[j])
             expected = np.zeros(9)
@@ -541,7 +554,7 @@ class TestIndicatorWeights:
     def test_raw_weights_sum_to_one(self):
         rng = np.random.default_rng(7)
         x_pts = rng.uniform(size=(15, 2))
-        weights = OrdinaryKriging(x_pts, CorrelationParams.isotropic(5.0, 2)).weights
+        weights = OrdinaryKriging(x_pts, np.full(2, 5.0)).weights
         for probe in rng.uniform(-0.5, 1.5, size=(50, 2)):
             w = weights(probe)
             assert w.sum() == pytest.approx(1.0, abs=1e-8)
@@ -549,23 +562,21 @@ class TestIndicatorWeights:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(8)
         x_pts = rng.uniform(size=(7, 2))
-        params = CorrelationParams.isotropic(4.0, 2)
+        theta = np.full(2, 4.0)
         probe = np.array([0.42, 0.77])
-        w = OrdinaryKriging(x_pts, params).weights(probe)
-        oracle = dense_indicator_weights(x_pts, params.theta,
-                                         params.nugget, probe)
+        w = OrdinaryKriging(x_pts, theta).weights(probe)
+        oracle = dense_indicator_weights(x_pts, theta, DEFAULT_NUGGET, probe)
         assert np.abs(w - oracle).max() < 1e-10
 
     def test_negative_weights_not_clamped(self):
         x_pts = np.linspace(0.0, 1.0, 6)[:, None]
-        params = CorrelationParams.isotropic(10.0, 1)
-        w = OrdinaryKriging(x_pts, params).weights(np.array([1.35]))
+        w = OrdinaryKriging(x_pts, np.full(1, 10.0)).weights(np.array([1.35]))
         assert w.min() < 0.0
 
     def test_non_finite_query_rejected(self):
         # NaN and +-inf, alone or in a row of a block
         x_pts = np.linspace(0.0, 1.0, 6)[:, None]
-        kriging_w = OrdinaryKriging(x_pts, CorrelationParams.isotropic(10.0, 1))
+        kriging_w = OrdinaryKriging(x_pts, np.full(1, 10.0))
         for bad in (np.nan, np.inf, -np.inf):
             for query in (np.array([bad]), np.array([[0.5], [bad]])):
                 with pytest.raises(ValueError, match="query must be finite"):
@@ -575,7 +586,7 @@ class TestIndicatorWeights:
         # Well-separated design, query close to one point: all other kernel
         # values fall below 1e-6 and the near weight matches the kernel to 1%.
         corners = np.array([[float(b) for b in f"{i:03b}"] for i in range(8)])
-        weights = OrdinaryKriging(corners, CorrelationParams.isotropic(50.0, 3)).weights
+        weights = OrdinaryKriging(corners, np.full(3, 50.0)).weights
         for j in range(8):
             probe = corners[j] + (0.015 if j % 2 == 0 else -0.015)
             w = weights(probe)
@@ -597,14 +608,14 @@ class TestIndicatorWeights:
         rng = np.random.default_rng(18)
         x_pts = rng.uniform(size=(30, 3))
         for theta in (0.05, 6.4, 50.0):
-            kriging_w = OrdinaryKriging(x_pts, CorrelationParams.isotropic(theta, 3))
+            kriging_w = OrdinaryKriging(x_pts, np.full(3, theta))
             for probes in (rng.uniform(-0.2, 1.2, size=(37, 3)), x_pts, x_pts[:1]):
                 block = kriging_w.weights(probes)
                 assert block.shape == (len(probes), 30)
                 assert np.array_equal(block, [kriging_w.weights(p) for p in probes])
 
     def test_block_query_dimension_checked(self):
-        kriging_w = OrdinaryKriging(np.eye(3), CorrelationParams.isotropic(1.0, 3))
+        kriging_w = OrdinaryKriging(np.eye(3), np.full(3, 1.0))
         for bad in (np.zeros((4, 2)), np.zeros((2, 4, 3))):
             with pytest.raises(ValueError, match=r"\(3,\) vector or \(q, 3\) array"):
                 kriging_w.weights(bad)
@@ -649,16 +660,20 @@ class TestIndicatorTheta:
         # nugget * Q_nn vanishes at a zero nugget, yet round-off alone
         # breaks the identity at the lower bound: the pick is measured
         x_pts = generate_slhd(5, 6, 3, seed=0).points
-        fitted = fit_indicator_theta(x_pts, nugget=0.0)
+        fitted = fit_indicator_theta(x_pts, FitOptions(nugget=0.0))
         assert np.log(fitted) > DEFAULT_LOG_THETA_BOUNDS[0] + 1.0
-        weights = OrdinaryKriging(
-            x_pts, CorrelationParams.isotropic(fitted, 3, nugget=0.0)).weights(x_pts)
+        weights = OrdinaryKriging(x_pts, np.full(3, fitted), 0.0).weights(x_pts)
         assert np.abs(weights - np.eye(30)).max() <= kriging.IDENTITY_TOL
+        # the picks on this design are pinned: grid points 69 at a zero
+        # nugget and 162 at the default one, given by FitOptions or not
+        assert fitted == np.exp(self.LOG_GRID[69])
+        assert fit_indicator_theta(x_pts) == np.exp(self.LOG_GRID[162]) \
+            == fit_indicator_theta(x_pts, FitOptions(nugget=DEFAULT_NUGGET))
 
     def test_large_nugget_falls_back_to_upper_bound(self, caplog):
         x_pts = generate_slhd(5, 6, 3, seed=0).points
         with caplog.at_level(logging.DEBUG, logger="kspod"):
-            fitted = fit_indicator_theta(x_pts, nugget=1e-6)
+            fitted = fit_indicator_theta(x_pts, FitOptions(nugget=1e-6))
         assert fitted == np.exp(DEFAULT_LOG_THETA_BOUNDS[1])
         (record,) = [r for r in caplog.records if r.name == "kspod"]
         theta, resid, evaluations, fallback = record.args
@@ -692,8 +707,9 @@ class TestIndicatorTheta:
         # candidates start at the lower bound; the last one is the upper
         # bound even when the span is not a whole number of steps
         x_pts = generate_slhd(5, 6, 3, seed=0).points
-        fitted = fit_indicator_theta(x_pts, log_theta_bounds=(1.01, 2.5))
+        fitted = fit_indicator_theta(x_pts, FitOptions(log_theta_bounds=(1.01, 2.5)))
         candidates = np.append(1.01 + kriging.IDENTITY_LOG_STEP * np.arange(30), 2.5)
         assert np.log(fitted) < 2.5 and fitted in np.exp(candidates)
-        assert fit_indicator_theta(x_pts, log_theta_bounds=(3.0, 3.01)) == np.exp(3.0)
+        assert fit_indicator_theta(
+            x_pts, FitOptions(log_theta_bounds=(3.0, 3.01))) == np.exp(3.0)
 

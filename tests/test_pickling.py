@@ -25,7 +25,6 @@ def assert_equal_and_read_only(copy, orig):
 INSTANCES = {
     "DesignMatrix": lambda cases, model: kspod.generate_slhd(2, 3, 2, seed=1),
     "DesignRanges": lambda cases, model: kspod.SWIRL_DESIGN_RANGES,
-    "CorrelationParams": lambda cases, model: kspod.CorrelationParams([0.5, 2.0], 1e-8),
     "PODBasis": lambda cases, model: kspod.decompose(cases[0]),
     "PODBasis-uncentered": lambda cases, model: kspod.decompose(cases[0], centering=False),
     "SnapshotSet": lambda cases, model: cases[0],
